@@ -58,9 +58,6 @@ pub enum IngestOutcome {
 
 /// The Cholesky factor of a covariance matrix `Σ(θ)` in one of the paper's
 /// three storage schemes.
-///
-/// Solves take `&mut self` only because the tile and TLR layers create raw
-/// tile views through `&mut`; no solve mutates the factor.
 pub enum Factorization {
     /// Dense column-major factor from the fork-join blocked Cholesky
     /// (`L` in the lower triangle, the upper triangle untouched).
@@ -172,7 +169,7 @@ impl Factorization {
 
     /// One triangular solve in place on `b`: `L·X = B` (forward) or
     /// `Lᵀ·X = B` (backward).
-    pub fn trsm(&mut self, side: TriangularSide, b: &mut Mat, rt: &Runtime) {
+    pub fn trsm(&self, side: TriangularSide, b: &mut Mat, rt: &Runtime) {
         match self {
             Factorization::Dense(l) => {
                 let n = l.nrows();
@@ -202,7 +199,7 @@ impl Factorization {
     }
 
     /// Full SPD solve in place on `b`: `Σ·X = B` through `L·Lᵀ`.
-    pub fn solve(&mut self, b: &mut Mat, rt: &Runtime) {
+    pub fn solve(&self, b: &mut Mat, rt: &Runtime) {
         self.trsm(TriangularSide::Forward, b, rt);
         self.trsm(TriangularSide::Backward, b, rt);
     }
@@ -331,9 +328,9 @@ fn trmm_lower_dense(l: &Mat, w: &Mat) -> Mat {
     out
 }
 
-// Compile-time proof that factors move between threads: `exa-serve` shares
-// one factorization across prediction workers (behind `FittedModel`'s
-// mutex), so every variant's storage must be `Send + Sync`.
+// Compile-time proof that factors are shared between threads: `exa-serve`'s
+// prediction workers solve through one `FittedModel`'s factor concurrently,
+// so every variant's storage must be `Send + Sync`.
 const _: () = {
     const fn check<T: Send + Sync>() {}
     check::<Factorization>();
@@ -366,7 +363,7 @@ mod tests {
         let b = Mat::gaussian(64, 2, &mut rng);
         let mut results = Vec::new();
         for backend in [Backend::FullBlock, Backend::FullTile, Backend::tlr(1e-12)] {
-            let (mut f, _) = Factorization::compute(&k, backend, cfg, &rt).unwrap();
+            let (f, _) = Factorization::compute(&k, backend, cfg, &rt).unwrap();
             assert_eq!(f.n(), 64);
             let mut x = b.clone();
             f.solve(&mut x, &rt);
@@ -505,7 +502,7 @@ mod tests {
         let rt = Runtime::new(1);
         let cfg = LikelihoodConfig { nb: 8, seed: 5 };
         let before = factorization_count();
-        let (mut f, timings) = Factorization::compute(&k, Backend::FullTile, cfg, &rt).unwrap();
+        let (f, timings) = Factorization::compute(&k, Backend::FullTile, cfg, &rt).unwrap();
         assert_eq!(factorization_count(), before + 1);
         // Solves and reads do not factorize.
         let mut b = Mat::zeros(16, 1);

@@ -51,7 +51,7 @@ use crate::factor::{FactorTimings, Factorization, TriangularSide};
 use crate::likelihood::{assemble, Backend, LikelihoodConfig, LogLikelihood};
 use crate::optimizer::{nelder_mead_max, Bounds, NelderMeadConfig, OptimResult};
 use crate::predict::Prediction;
-use exa_check::sync::{Arc, Mutex};
+use exa_check::sync::Arc;
 use exa_covariance::{CovarianceKernel, DistanceMetric, Location, ParamCovariance};
 use exa_linalg::{LinalgError, Mat};
 use exa_runtime::Runtime;
@@ -119,9 +119,9 @@ pub fn eval_log_likelihood<K: CovarianceKernel>(
 ) -> Result<LogLikelihood, LinalgError> {
     let n = kernel.len();
     assert_eq!(z.len(), n, "measurement vector length mismatch");
-    let (mut factor, timings) = Factorization::compute(kernel, backend, cfg, rt)?;
+    let (factor, timings) = Factorization::compute(kernel, backend, cfg, rt)?;
     let mut w = Mat::from_vec(n, 1, z.to_vec());
-    Ok(likelihood_from_factor(&mut factor, timings, &mut w, rt))
+    Ok(likelihood_from_factor(&factor, timings, &mut w, rt))
 }
 
 /// Assembles ℓ (Eq. 1) from an already-computed factor: log-determinant,
@@ -131,7 +131,7 @@ pub fn eval_log_likelihood<K: CovarianceKernel>(
 /// `w` enters as `Z` and leaves **forward-solved** (`L⁻¹Z`); callers that
 /// need `α = Σ⁻¹Z` continue with the backward solve.
 fn likelihood_from_factor(
-    factor: &mut Factorization,
+    factor: &Factorization,
     timings: FactorTimings,
     w: &mut Mat,
     rt: &Runtime,
@@ -560,15 +560,14 @@ fn validate_batch(requests: &[&[Location]]) -> Result<(), ModelError> {
 /// `Σ(θ̂)`.
 ///
 /// Prediction, conditional variances and simulation reuse the cached
-/// [`Factorization`] — zero further `potrf` calls. The factor sits behind a
-/// mutex only because the tile/TLR solvers create their raw views through
-/// `&mut`; no method mutates it.
+/// [`Factorization`] — zero further `potrf` calls, and any number of callers
+/// at once: solves only read the factor.
 pub struct FittedModel<K: ParamCovariance> {
     kernel: K,
     z: Option<Vec<f64>>,
     backend: Backend,
     config: LikelihoodConfig,
-    factor: Mutex<Factorization>,
+    factor: Factorization,
     timings: FactorTimings,
     /// Observed coordinates in structure-of-arrays layout, split once at
     /// construction: the batched prediction path fills cross-covariance rows
@@ -598,11 +597,11 @@ impl<K: ParamCovariance> FittedModel<K> {
         rt: &Runtime,
     ) -> Result<Self, ModelError> {
         let n = kernel.len();
-        let (mut factor, timings) = Factorization::compute(&kernel, backend, config, rt)?;
+        let (factor, timings) = Factorization::compute(&kernel, backend, config, rt)?;
         let (alpha, likelihood, alpha_seconds) = match &z {
             Some(z) => {
                 let mut w = Mat::from_vec(n, 1, z.clone());
-                let ll = likelihood_from_factor(&mut factor, timings, &mut w, rt);
+                let ll = likelihood_from_factor(&factor, timings, &mut w, rt);
                 let mut sw = Stopwatch::start();
                 factor.trsm(TriangularSide::Backward, &mut w, rt);
                 let alpha_seconds = ll.solve_seconds + sw.lap();
@@ -618,7 +617,7 @@ impl<K: ParamCovariance> FittedModel<K> {
             z,
             backend,
             config,
-            factor: Mutex::new(factor),
+            factor,
             timings,
             obs_x,
             obs_y,
@@ -671,16 +670,13 @@ impl<K: ParamCovariance> FittedModel<K> {
 
     /// Bytes held by the factored representation.
     pub fn factor_bytes(&self) -> usize {
-        self.factor.lock().expect("factor lock").bytes()
+        self.factor.bytes()
     }
 
     /// Diagonal-ratio condition estimate of the cached factor (see
     /// [`Factorization::condition_estimate`]); `None` for tile/TLR storage.
     pub fn factor_condition_estimate(&self) -> Option<f64> {
-        self.factor
-            .lock()
-            .expect("factor lock")
-            .condition_estimate()
+        self.factor.condition_estimate()
     }
 
     /// Kriging prediction `Ẑ₁ = Σ₁₂ Σ₂₂⁻¹ Z₂` (Eq. 4) at the target
@@ -741,10 +737,7 @@ impl<K: ParamCovariance> FittedModel<K> {
         let values: Vec<f64> = (0..m)
             .map(|j| s21.col(j).iter().zip(a).map(|(c, x)| c * x).sum())
             .collect();
-        self.factor
-            .lock()
-            .expect("factor lock")
-            .trsm(TriangularSide::Forward, &mut s21, rt);
+        self.factor.trsm(TriangularSide::Forward, &mut s21, rt);
         let sill = self.kernel.sill();
         let variances = (0..m)
             .map(|j| {
@@ -849,10 +842,7 @@ impl<K: ParamCovariance> FittedModel<K> {
         let a = alpha.col(0);
         let means: Vec<f64> = (0..total).map(|j| dot_unrolled(s21.col(j), a)).collect();
         // One multi-RHS forward solve for every request in the batch.
-        self.factor
-            .lock()
-            .expect("factor lock")
-            .trsm(TriangularSide::Forward, &mut s21, rt);
+        self.factor.trsm(TriangularSide::Forward, &mut s21, rt);
         let sill = self.kernel.sill();
         let variances: Vec<f64> = (0..total)
             .map(|j| {
@@ -883,12 +873,7 @@ impl<K: ParamCovariance> FittedModel<K> {
     pub fn simulate(&self, rng: &mut exa_util::Rng, rt: &Runtime) -> Vec<f64> {
         let mut w = Mat::zeros(self.kernel.len(), 1);
         rng.fill_gaussian(w.as_mut_slice());
-        self.factor
-            .lock()
-            .expect("factor lock")
-            .apply_factor(&w, rt)
-            .as_slice()
-            .to_vec()
+        self.factor.apply_factor(&w, rt).as_slice().to_vec()
     }
 
     /// Draws `count` independent realizations through the cached factor.
@@ -909,11 +894,7 @@ impl<K: ParamCovariance> FittedModel<K> {
         }
         let mut w = Mat::zeros(self.kernel.len(), count);
         rng.fill_gaussian(w.as_mut_slice());
-        let y = self
-            .factor
-            .lock()
-            .expect("factor lock")
-            .apply_factor(&w, rt);
+        let y = self.factor.apply_factor(&w, rt);
         (0..count).map(|c| y.col(c).to_vec()).collect()
     }
 
@@ -949,7 +930,7 @@ impl<K: ParamCovariance> FittedModel<K> {
         rt: &Runtime,
     ) -> Result<Option<Self>, ModelError> {
         let (kernel, z_new) = self.appended_parts(points, values)?;
-        let dense = match &*self.factor.lock().expect("factor lock") {
+        let dense = match &self.factor {
             Factorization::Dense(l) => l.clone(),
             _ => return Ok(None),
         };
@@ -1030,7 +1011,7 @@ impl<K: ParamCovariance> FittedModel<K> {
         rt: &Runtime,
     ) -> Result<Option<Self>, ModelError> {
         let (kernel, kept_z, drop) = self.removed_parts(indices)?;
-        let dense = match &*self.factor.lock().expect("factor lock") {
+        let dense = match &self.factor {
             Factorization::Dense(l) => l.clone(),
             _ => return Ok(None),
         };
@@ -1108,7 +1089,7 @@ impl<K: ParamCovariance> FittedModel<K> {
     fn resolved(
         kernel: K,
         z: Vec<f64>,
-        mut factor: Factorization,
+        factor: Factorization,
         backend: Backend,
         config: LikelihoodConfig,
         timings: FactorTimings,
@@ -1118,7 +1099,7 @@ impl<K: ParamCovariance> FittedModel<K> {
         let n = kernel.len();
         debug_assert_eq!(z.len(), n);
         let mut w = Mat::from_vec(n, 1, z.clone());
-        let ll = likelihood_from_factor(&mut factor, timings, &mut w, rt);
+        let ll = likelihood_from_factor(&factor, timings, &mut w, rt);
         let mut sw = Stopwatch::start();
         factor.trsm(TriangularSide::Backward, &mut w, rt);
         let alpha_seconds = ll.solve_seconds + sw.lap();
@@ -1130,7 +1111,7 @@ impl<K: ParamCovariance> FittedModel<K> {
             z: Some(z),
             backend,
             config,
-            factor: Mutex::new(factor),
+            factor,
             timings,
             obs_x,
             obs_y,
@@ -1357,6 +1338,41 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn concurrent_variance_predictions_match_the_serial_bits() {
+        // Solves only read the factor, so callers sharing one model need no
+        // lock and must not disturb each other.
+        for backend in [Backend::FullTile, Backend::tlr(1e-9)] {
+            let (model, rt) = matern_model(10, 31, backend);
+            let fitted = Arc::new(model.at_params(&[1.0, 0.1, 0.5], &rt).unwrap());
+            let requests = [
+                vec![Location::new(0.3, 0.4), Location::new(0.8, 0.1)],
+                vec![Location::new(0.55, 0.65)],
+            ];
+            let bits = |out: Vec<(Prediction, Vec<f64>)>| -> Vec<u64> {
+                out.iter()
+                    .flat_map(|(p, vars)| p.values.iter().chain(vars))
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            let slices: Vec<&[Location]> = requests.iter().map(|r| r.as_slice()).collect();
+            let serial = bits(fitted.predict_batch_with_variance(&slices, &rt).unwrap());
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        let rt = Runtime::new(2);
+                        start.wait();
+                        for _ in 0..8 {
+                            let got = fitted.predict_batch_with_variance(&slices, &rt).unwrap();
+                            assert_eq!(bits(got), serial, "{backend:?}");
+                        }
+                    });
+                }
+            });
         }
     }
 

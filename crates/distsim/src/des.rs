@@ -1,14 +1,16 @@
 //! Discrete-event simulation of the distributed tile/TLR Cholesky.
 //!
-//! The paper's Figures 4–5 run on up to 1024 Cray XC40 nodes; here the same
-//! task DAG is *simulated*: every POTRF/TRSM/SYRK/GEMM task of the
-//! right-looking tile Cholesky becomes an event with a cost-model duration,
-//! executed by one of `cores_per_node` servers on its owner node under 2D
+//! The paper's Figures 4–5 run on up to 1024 Cray XC40 nodes; here the task
+//! DAG the production factorizations submit ([`exa_runtime::chol`]: the same
+//! task type, enumeration, tile sets and priorities) is *simulated*: every
+//! task becomes an event with a cost-model duration, executed by one of
+//! `cores_per_node` servers on the node owning its output tile under 2D
 //! block-cyclic ownership, with panel tiles travelling between nodes at
 //! latency + size/bandwidth (transfers to the same destination are cached,
 //! as StarPU-MPI caches received handles). The DAG is never materialized:
-//! dependency counts and dependents are derived arithmetically from the
-//! `(k, i, j)` structure, so 10⁸-task factorizations fit in memory.
+//! task ids, dependency counts and dependents are derived arithmetically
+//! from the `(k, i, j)` structure, so 10⁸-task factorizations fit in memory;
+//! a test checks that arithmetic against the materialized production graph.
 //!
 //! Missing points in Figure 4 are out-of-memory cases; [`check_memory`]
 //! reproduces them from per-node resident-set accounting before any
@@ -17,6 +19,7 @@
 use crate::blockcyclic::BlockCyclic;
 use crate::machine::MachineConfig;
 use crate::taskmodel::{CostModel, TaskKind};
+use exa_runtime::Priority;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -130,58 +133,25 @@ impl TaskIds {
             TaskKind::Gemm { k, j, i } => self.gemm_base + self.triple_rank(k, j, i),
         }
     }
-
-    /// Initial dependency count of a task.
-    #[inline]
-    fn dep_count(&self, t: TaskKind) -> u8 {
-        match t {
-            TaskKind::Potrf { k } => u8::from(k > 0),
-            TaskKind::Trsm { k, .. } => 1 + u8::from(k > 0),
-            TaskKind::Syrk { k, .. } => 1 + u8::from(k > 0),
-            TaskKind::Gemm { k, .. } => 2 + u8::from(k > 0),
-        }
-    }
-
-    /// Node executing a task (owner of the written tile).
-    #[inline]
-    fn exec_node(&self, t: TaskKind, grid: &BlockCyclic) -> usize {
-        match t {
-            TaskKind::Potrf { k } => grid.owner(k, k),
-            TaskKind::Trsm { k, i } => grid.owner(i, k),
-            TaskKind::Syrk { j, .. } => grid.owner(j, j),
-            TaskKind::Gemm { j, i, .. } => grid.owner(i, j),
-        }
-    }
-
-    /// Scheduling priority (panel tasks first, as the real runtimes do).
-    #[inline]
-    fn priority(t: TaskKind) -> u8 {
-        match t {
-            TaskKind::Potrf { .. } => 3,
-            TaskKind::Trsm { .. } => 2,
-            TaskKind::Syrk { .. } => 1,
-            TaskKind::Gemm { .. } => 0,
-        }
-    }
 }
 
-/// Remote inputs of a task: `(producer, tile coordinates)` pairs whose
-/// output must travel if owned elsewhere. Same-node inputs are free.
-fn remote_inputs(t: TaskKind, out: &mut Vec<(TaskKind, (usize, usize))>) {
-    out.clear();
-    match t {
-        TaskKind::Potrf { .. } => {}
-        // Reads L_kk from the diagonal owner; the (i,k) operand is local
-        // (written by this node's gemm at panel k−1).
-        TaskKind::Trsm { k, .. } => out.push((TaskKind::Potrf { k }, (k, k))),
-        // Reads the solved panel tile (j,k).
-        TaskKind::Syrk { k, j } => out.push((TaskKind::Trsm { k, i: j }, (j, k))),
-        // Reads the two solved panel tiles (i,k) and (j,k).
-        TaskKind::Gemm { k, j, i } => {
-            out.push((TaskKind::Trsm { k, i }, (i, k)));
-            out.push((TaskKind::Trsm { k, i: j }, (j, k)));
-        }
-    }
+/// Initial dependency count of a task: the task finishing each input tile,
+/// plus (past the first panel) the previous update of the output tile.
+#[inline]
+fn dep_count(t: TaskKind) -> u8 {
+    let (TaskKind::Potrf { k }
+    | TaskKind::Trsm { k, .. }
+    | TaskKind::Syrk { k, .. }
+    | TaskKind::Gemm { k, .. }) = t;
+    t.inputs().count() as u8 + u8::from(k > 0)
+}
+
+/// Node executing a task: the owner of the tile it updates, which is
+/// therefore local; only the input tiles may have to travel.
+#[inline]
+fn exec_node(t: TaskKind, grid: &BlockCyclic) -> usize {
+    let (i, j) = t.output();
+    grid.owner(i, j)
 }
 
 /// Dependent tasks unlocked by a completion.
@@ -287,7 +257,7 @@ impl PartialOrd for Event {
 
 struct Node {
     free_cores: usize,
-    pending: BinaryHeap<(u8, Reverse<u64>, TaskKind)>, // (priority, fifo tick)
+    pending: BinaryHeap<(Priority, Reverse<u64>, TaskKind)>, // fifo tick within a priority
     busy_seconds: f64,
 }
 
@@ -313,7 +283,7 @@ pub fn simulate_cholesky(
     // work/cores) at the DES's own 1e-9 tolerance.
     let mut deps = vec![0u8; ids.total];
     let mut ready_at = vec![0f64; ids.total];
-    init_dep_counts(&ids, &mut deps);
+    TaskKind::for_each(nt, |t| deps[ids.id(t)] = dep_count(t));
 
     // Transfer cache: (producer id, dest node) → arrival time.
     let mut transfers: HashMap<(usize, usize), f64> = HashMap::new();
@@ -340,10 +310,9 @@ pub fn simulate_cholesky(
     let mut busy = 0.0f64;
     let mut executed = 0usize;
     let mut fifo_tick = 0u64;
-    let mut scratch: Vec<(TaskKind, (usize, usize))> = Vec::with_capacity(2);
 
     while let Some(Reverse(Event { time, kind, task })) = heap.pop() {
-        let node_idx = ids.exec_node(task, grid);
+        let node_idx = exec_node(task, grid);
         if kind == 0 {
             // Task ready: start it now if a core is free, else queue it.
             let node = &mut nodes[node_idx];
@@ -354,7 +323,6 @@ pub fn simulate_cholesky(
                     time,
                     cost,
                     machine,
-                    &ids,
                     &mut heap,
                     &mut total_flops,
                     &mut busy,
@@ -363,7 +331,7 @@ pub fn simulate_cholesky(
             } else {
                 fifo_tick += 1;
                 node.pending
-                    .push((TaskIds::priority(task), Reverse(fifo_tick), task));
+                    .push((task.priority(), Reverse(fifo_tick), task));
             }
             continue;
         }
@@ -375,22 +343,20 @@ pub fn simulate_cholesky(
         // Unlock dependents.
         for_each_dependent(task, nt, |dep| {
             let dep_id = ids.id(dep);
-            let dest = ids.exec_node(dep, grid);
-            // Arrival of *this* producer's output at the dependent's node.
+            let dest = exec_node(dep, grid);
+            // Arrival of *this* producer's output at the dependent's node:
+            // it travels if `dep` reads the tile `task` just finished and
+            // lives elsewhere.
             let mut arrival = time;
-            remote_inputs(dep, &mut scratch);
-            for (producer, tile) in scratch.iter() {
-                if ids.id(*producer) == ids.id(task) {
-                    let src = ids.exec_node(*producer, grid);
-                    if src != dest {
-                        let key = (ids.id(task), dest);
-                        arrival = *transfers.entry(key).or_insert_with(|| {
-                            let bytes = cost.tile_bytes(tile.0, tile.1);
-                            comm_bytes += bytes;
-                            messages += 1;
-                            time + machine.transfer_seconds(bytes)
-                        });
-                    }
+            for tile in dep.inputs() {
+                if TaskKind::finishing(tile) == task && node_idx != dest {
+                    let key = (ids.id(task), dest);
+                    arrival = *transfers.entry(key).or_insert_with(|| {
+                        let bytes = cost.tile_bytes(tile.0, tile.1);
+                        comm_bytes += bytes;
+                        messages += 1;
+                        time + machine.transfer_seconds(bytes)
+                    });
                 }
             }
             ready_at[dep_id] = ready_at[dep_id].max(arrival);
@@ -414,7 +380,6 @@ pub fn simulate_cholesky(
                 time,
                 cost,
                 machine,
-                &ids,
                 &mut heap,
                 &mut total_flops,
                 &mut busy,
@@ -446,7 +411,6 @@ fn start_task(
     now: f64,
     cost: &dyn CostModel,
     machine: &MachineConfig,
-    _ids: &TaskIds,
     heap: &mut BinaryHeap<Reverse<Event>>,
     total_flops: &mut f64,
     busy: &mut f64,
@@ -463,21 +427,6 @@ fn start_task(
     }));
 }
 
-fn init_dep_counts(ids: &TaskIds, deps: &mut [u8]) {
-    let nt = ids.nt;
-    for k in 0..nt {
-        deps[ids.id(TaskKind::Potrf { k })] = ids.dep_count(TaskKind::Potrf { k });
-        for i in k + 1..nt {
-            deps[ids.id(TaskKind::Trsm { k, i })] = ids.dep_count(TaskKind::Trsm { k, i });
-            deps[ids.id(TaskKind::Syrk { k, j: i })] = ids.dep_count(TaskKind::Syrk { k, j: i });
-            for j in k + 1..i {
-                deps[ids.id(TaskKind::Gemm { k, j, i })] =
-                    ids.dep_count(TaskKind::Gemm { k, j, i });
-            }
-        }
-    }
-}
-
 /// Closed-form estimate used beyond the DES task budget: the maximum of the
 /// work bound, the critical-path bound, and the communication bound — the
 /// three mechanisms that shape Figure 4.
@@ -486,48 +435,27 @@ pub fn analytic_cholesky_seconds(nt: usize, cost: &dyn CostModel, machine: &Mach
     let mut lr_flops = 0.0f64;
     let mut comm_bytes = 0.0f64;
     let mut critical = 0.0f64;
-    for k in 0..nt {
-        let potrf = TaskKind::Potrf { k };
-        let add = |acc: &mut f64, t: TaskKind, c: &dyn CostModel| {
-            *acc += c.task_flops(t);
-        };
-        if cost.is_dense_rate(potrf) {
-            add(&mut dense_flops, potrf, cost);
+    TaskKind::for_each(nt, |t| {
+        if cost.is_dense_rate(t) {
+            dense_flops += cost.task_flops(t);
         } else {
-            add(&mut lr_flops, potrf, cost);
+            lr_flops += cost.task_flops(t);
         }
-        critical += cost.task_seconds(potrf, machine) + machine.network_latency;
-        if k + 1 < nt {
-            let trsm = TaskKind::Trsm { k, i: k + 1 };
-            let syrk = TaskKind::Syrk { k, j: k + 1 };
-            critical += cost.task_seconds(trsm, machine)
-                + cost.task_seconds(syrk, machine)
-                + 2.0 * machine.network_latency;
-        }
-        for i in k + 1..nt {
-            let t = TaskKind::Trsm { k, i };
-            if cost.is_dense_rate(t) {
-                add(&mut dense_flops, t, cost);
-            } else {
-                add(&mut lr_flops, t, cost);
-            }
+        // Every solved panel tile travels once.
+        if let TaskKind::Trsm { k, i } = t {
             comm_bytes += cost.tile_bytes(i, k) as f64;
-            let s = TaskKind::Syrk { k, j: i };
-            if cost.is_dense_rate(s) {
-                add(&mut dense_flops, s, cost);
-            } else {
-                add(&mut lr_flops, s, cost);
-            }
-            for j in k + 1..i {
-                let g = TaskKind::Gemm { k, j, i };
-                if cost.is_dense_rate(g) {
-                    add(&mut dense_flops, g, cost);
-                } else {
-                    add(&mut lr_flops, g, cost);
-                }
-            }
         }
-    }
+        // The chain potrf → trsm → syrk down the first sub-diagonal, one
+        // network hop per link.
+        let on_chain = match t {
+            TaskKind::Potrf { .. } => true,
+            TaskKind::Trsm { k, i: next } | TaskKind::Syrk { k, j: next } => next == k + 1,
+            TaskKind::Gemm { .. } => false,
+        };
+        if on_chain {
+            critical += cost.task_seconds(t, machine) + machine.network_latency;
+        }
+    });
     let work = dense_flops / machine.aggregate_dense_rate()
         + lr_flops / (machine.lr_rate() * (machine.nodes * machine.cores_per_node) as f64);
     let comm = comm_bytes / (machine.network_bandwidth * machine.nodes as f64);
@@ -553,17 +481,30 @@ mod tests {
             assert!(!seen[id], "duplicate id {id} for {t:?}");
             seen[id] = true;
         };
-        for k in 0..nt {
-            mark(TaskKind::Potrf { k });
-            for i in k + 1..nt {
-                mark(TaskKind::Trsm { k, i });
-                mark(TaskKind::Syrk { k, j: i });
-                for j in k + 1..i {
-                    mark(TaskKind::Gemm { k, j, i });
-                }
-            }
-        }
+        TaskKind::for_each(nt, &mut mark);
         assert!(seen.iter().all(|&s| s), "id space has holes");
+    }
+
+    #[test]
+    fn arithmetic_dag_matches_the_graph_production_submits() {
+        // The DES never builds the graph; the production drivers do. Submit
+        // it with no-op bodies and compare what the runtime inferred.
+        for nt in 1..=10 {
+            let graph =
+                exa_runtime::chol::factor(nt, &exa_runtime::Runtime::new(1), |_| Ok::<(), ()>(()))
+                    .unwrap();
+            let (mut tasks, mut deps, mut dependents) = (0, 0, 0);
+            TaskKind::for_each(nt, |t| {
+                tasks += 1;
+                deps += dep_count(t) as usize;
+                for_each_dependent(t, nt, |_| dependents += 1);
+            });
+            assert_eq!(TaskIds::new(nt).total, tasks, "nt={nt}");
+            assert_eq!(graph.tasks_executed, tasks, "nt={nt}");
+            assert_eq!(graph.edges, deps, "nt={nt}");
+            assert_eq!(graph.edges, dependents, "nt={nt}");
+            assert_eq!(graph.critical_path_tasks, 3 * (nt - 1) + 1, "nt={nt}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::blockcyclic::BlockCyclic;
 use crate::des::{analytic_cholesky_seconds, simulate_cholesky, SimError};
 use crate::machine::MachineConfig;
-use crate::taskmodel::{CostModel, TaskKind};
+use crate::taskmodel::CostModel;
 
 /// Timing breakdown of one distributed prediction run.
 #[derive(Clone, Copy, Debug)]
@@ -90,12 +90,6 @@ pub fn phase_fractions(t: &PredictTiming) -> (f64, f64, f64) {
         t.solve_seconds / total,
         t.gemm_seconds / total,
     )
-}
-
-/// Suppress unused-import warnings for TaskKind re-export convenience.
-#[doc(hidden)]
-pub fn _task_kind_witness(k: TaskKind) -> TaskKind {
-    k
 }
 
 #[cfg(test)]

@@ -26,18 +26,9 @@ use exa_tlr::{CompressionMethod, TlrMatrix};
 use exa_util::Rng;
 use std::sync::Arc;
 
-/// Kinds of tile tasks in a (dense or TLR) Cholesky DAG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TaskKind {
-    /// Dense Cholesky of a diagonal tile.
-    Potrf { k: usize },
-    /// Panel triangular solve into tile `(i, k)`.
-    Trsm { k: usize, i: usize },
-    /// Symmetric rank update of diagonal tile `j` from panel `k`.
-    Syrk { k: usize, j: usize },
-    /// Trailing update of tile `(i, j)` from panel `k`.
-    Gemm { k: usize, j: usize, i: usize },
-}
+/// The tasks of a (dense or TLR) Cholesky DAG: the type the production
+/// factorizations submit.
+pub use exa_runtime::CholTask as TaskKind;
 
 /// Cost model interface: flops, rate class, and transfer sizes.
 pub trait CostModel: Sync {

@@ -46,6 +46,19 @@ pub enum LinalgError {
     NoConvergence { iterations: usize },
 }
 
+impl LinalgError {
+    /// Re-bases a failing leading-minor index from a diagonal tile to the
+    /// whole matrix, where the tile starts at global row `first_row`.
+    pub fn offset_minor(self, first_row: usize) -> Self {
+        match self {
+            LinalgError::NotPositiveDefinite { index } => LinalgError::NotPositiveDefinite {
+                index: first_row + index,
+            },
+            other => other,
+        }
+    }
+}
+
 impl std::fmt::Display for LinalgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

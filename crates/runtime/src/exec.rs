@@ -11,6 +11,8 @@ use crate::graph::TaskGraph;
 use crate::trace::{ExecStats, TaskSpan};
 use crossbeam_deque::{Injector, Stealer, Worker as Deque};
 use parking_lot::Mutex;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -55,6 +57,9 @@ struct Shared<'g> {
     priority: Vec<u8>,
     names: Vec<&'static str>,
     remaining: AtomicUsize,
+    /// Payload of the first task body that panicked; once set, the remaining
+    /// tasks retire without running their bodies.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     injector: Injector<u32>,
     hi_injector: Injector<u32>,
     stealers: Vec<Stealer<u32>>,
@@ -92,9 +97,10 @@ impl Runtime {
     /// Executes every task in the graph, respecting the inferred
     /// dependencies; returns scheduling statistics.
     ///
-    /// Panics in task bodies propagate after all workers stop (fail-fast is
-    /// not attempted; numerical error handling is done via shared state by
-    /// the tile layer, see `exa-tile`).
+    /// If a task body panics, the bodies of the tasks that have not started
+    /// are skipped, every worker stops, and the first panic resumes on the
+    /// calling thread. Numerical failures are not panics: the tile layer
+    /// reports them through [`crate::chol::factor`]'s return value.
     pub fn run(&self, mut graph: TaskGraph) -> ExecStats {
         let n = graph.tasks.len();
         let start = Instant::now();
@@ -126,6 +132,7 @@ impl Runtime {
             priority,
             names,
             remaining: AtomicUsize::new(n),
+            panic: Mutex::new(None),
             injector: Injector::new(),
             hi_injector: Injector::new(),
             stealers,
@@ -178,6 +185,9 @@ impl Runtime {
             );
         });
 
+        if let Some(payload) = shared.panic.into_inner() {
+            resume_unwind(payload);
+        }
         let wall = start.elapsed().as_secs_f64();
         let mut all_spans = Vec::new();
         for s in &spans {
@@ -234,7 +244,13 @@ fn worker_loop(
             .expect("task executed twice");
         let t0 = Instant::now();
         let s0 = t0.duration_since(epoch).as_secs_f64();
-        func();
+        if shared.panic.lock().is_none() {
+            // A panic that escaped here would leave `remaining` above zero
+            // and the other workers spinning forever.
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(func)) {
+                shared.panic.lock().get_or_insert(payload);
+            }
+        }
         let dur = t0.elapsed();
         busy_ns.fetch_add(dur.as_nanos() as usize, Ordering::Relaxed);
         executed.fetch_add(1, Ordering::Relaxed);
@@ -432,6 +448,38 @@ mod tests {
         let stats = Runtime::new(1).run(g);
         assert_eq!(counter.load(Ordering::Relaxed), 10);
         assert_eq!(stats.workers, 1);
+    }
+
+    #[test]
+    fn panicking_task_propagates_instead_of_hanging() {
+        for workers in [1, 2] {
+            // The run happens on a helper thread so a hang fails the test
+            // (through the watchdog below) instead of wedging the suite.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let ran = Arc::new(AtomicUsize::new(0));
+                let mut g = TaskGraph::new();
+                let h = g.register();
+                g.submit("boom", 0, &[(h, Access::Write)], || {
+                    panic!("task body failed")
+                });
+                for _ in 0..4 {
+                    let ran = ran.clone();
+                    g.submit("after", 0, &[(h, Access::ReadWrite)], move || {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                let message = catch_unwind(AssertUnwindSafe(|| Runtime::new(workers).run(g)))
+                    .err()
+                    .and_then(|payload| payload.downcast_ref::<&str>().copied());
+                let _ = tx.send((message, ran.load(Ordering::Relaxed)));
+            });
+            let (message, ran) = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("run() hung after a task panicked, workers={workers}"));
+            assert_eq!(message, Some("task body failed"), "workers={workers}");
+            assert_eq!(ran, 0, "bodies downstream of the panic must not run");
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@ pub struct Handle(pub(crate) u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TaskId(pub(crate) u32);
 
-/// Task priority: higher values are scheduled preferentially. The tile
-/// Cholesky gives panel tasks (POTRF/TRSM) high priority, as the paper's
-/// Chameleon/HiCMA configuration does.
+/// Task priority. The executor distinguishes only zero from non-zero: a ready
+/// task with a non-zero priority goes to a shared FIFO queue that every
+/// worker polls before anything else, a zero-priority one to the deque of the
+/// worker that released it. Larger values are not ordered among themselves.
 pub type Priority = u8;
 
 pub(crate) struct TaskNode {

@@ -15,6 +15,9 @@
 //!   per-worker statistics ([`ExecStats`]).
 //! * [`parallel_for`]/[`parallel_map`] — bulk-synchronous fork-join helpers
 //!   used by the paper's "Full-block" baseline and by data generation.
+//! * [`chol`] — the tile Cholesky and triangular-solve task DAGs
+//!   ([`CholTask`], [`SolveTask`]) and the drivers that submit them; the
+//!   dense tile, TLR and simulated factorizations all take the DAG from here.
 //!
 //! # Example
 //!
@@ -37,11 +40,13 @@
 //! assert_eq!(stats.tasks_executed, 10);
 //! ```
 
+pub mod chol;
 pub mod exec;
 pub mod graph;
 pub mod parallel;
 pub mod trace;
 
+pub use chol::{CholTask, SolveTask, TriangularSide};
 pub use exec::{default_parallelism, Runtime, RuntimeConfig};
 pub use graph::{Access, Handle, Priority, TaskGraph, TaskId};
 pub use parallel::{parallel_for, parallel_map};

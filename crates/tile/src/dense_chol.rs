@@ -1,51 +1,15 @@
 //! Dense tile Cholesky factorization ("Full-tile" in the paper).
 //!
-//! The right-looking tile algorithm, written as its sequential loop nest and
-//! submitted to the STF runtime exactly as Chameleon submits to StarPU:
-//!
-//! ```text
-//! for k in 0..nt:
-//!     POTRF(A[k][k])
-//!     for i in k+1..nt:      TRSM(A[k][k] → A[i][k])
-//!     for j in k+1..nt:      SYRK(A[j][k] → A[j][j])
-//!         for i in j+1..nt:  GEMM(A[i][k], A[j][k] → A[i][j])
-//! ```
-//!
-//! Panel tasks (POTRF/TRSM) carry high priority — they sit on the critical
-//! path, and scheduling them early is what lets the trailing updates overlap
-//! across iterations (the "lookahead" the paper credits for tile > block).
+//! The task DAG — the right-looking loop nest, each task's tiles and its
+//! priority — is [`exa_runtime::chol`]'s, submitted to the STF runtime as
+//! Chameleon submits to StarPU; this file supplies the dense kernel each
+//! task runs on its tiles.
 
 use crate::layout::TileMatrix;
+use crate::view::TileView;
 use exa_linalg::{dgemm, dpotrf, dsyrk, dtrsm, LinalgError, Side, Trans};
-use exa_runtime::{Access, ExecStats, Runtime, TaskGraph};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Shared first-failure latch: tasks become no-ops once poisoned, mirroring
-/// how a runtime cancels a numerically failed factorization.
-#[derive(Default)]
-pub(crate) struct Poison {
-    failed: AtomicBool,
-    info: Mutex<Option<LinalgError>>,
-}
-
-impl Poison {
-    pub(crate) fn poisoned(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set(&self, err: LinalgError) {
-        let mut slot = self.info.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        self.failed.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn take(&self) -> Option<LinalgError> {
-        *self.info.lock().unwrap()
-    }
-}
+use exa_runtime::chol::{factor, CholTask, TileIdx};
+use exa_runtime::{ExecStats, Runtime};
 
 /// In-place tile Cholesky: on success the lower tiles of `a` hold `L`.
 ///
@@ -54,137 +18,64 @@ impl Poison {
 /// index), in which case `a` is left partially factored.
 pub fn tile_potrf(a: &mut TileMatrix, rt: &Runtime) -> Result<ExecStats, LinalgError> {
     assert_eq!(a.m, a.n, "Cholesky needs a square matrix");
-    let nt = a.nt;
     let nb = a.nb;
-    let mut graph = TaskGraph::new();
-    // One handle per lower tile.
-    let handles: Vec<Vec<exa_runtime::Handle>> = (0..nt).map(|_| graph.register_many(nt)).collect();
-    let h = |i: usize, j: usize| handles[j][i];
-    let poison = Arc::new(Poison::default());
-
-    for k in 0..nt {
-        let akk = a.view(k, k);
-        let p = poison.clone();
-        let off = k * nb;
-        graph.submit("potrf", 2, &[(h(k, k), Access::ReadWrite)], move || {
-            if p.poisoned() {
-                return;
+    // One view per lower tile, column by column.
+    let views: Vec<Vec<TileView>> = (0..a.nt)
+        .map(|j| (j..a.nt).map(|i| a.view(i, j)).collect())
+        .collect();
+    let view = move |(i, j): TileIdx| views[j][i - j];
+    factor(a.nt, rt, move |task| {
+        let out = view(task.output());
+        // SAFETY: `factor` declares ReadWrite on the output tile and Read on
+        // every tile in `task.inputs()`, which are the tiles each arm below
+        // borrows; the DAG serializes the task against their other users.
+        let c = unsafe { out.as_mut_slice() };
+        let read = |t: TileView| unsafe { t.as_slice() };
+        match task {
+            CholTask::Potrf { k } => {
+                dpotrf(out.rows, c, out.rows).map_err(|e| e.offset_minor(k * nb))?
             }
-            // SAFETY: this task declared ReadWrite on (k,k), so the STF DAG
-            // grants it exclusive access to the tile for the closure's run.
-            let buf = unsafe { akk.as_mut_slice() };
-            if let Err(LinalgError::NotPositiveDefinite { index }) = dpotrf(akk.rows, buf, akk.rows)
-            {
-                p.set(LinalgError::NotPositiveDefinite { index: off + index });
+            CholTask::Trsm { k, .. } => {
+                let l = view((k, k));
+                let (m, n) = (out.rows, out.cols);
+                dtrsm(Side::Right, Trans::Yes, m, n, 1.0, read(l), l.rows, c, m);
             }
-        });
-        for i in k + 1..nt {
-            let akk = a.view(k, k);
-            let aik = a.view(i, k);
-            let p = poison.clone();
-            graph.submit(
-                "trsm",
-                1,
-                &[(h(k, k), Access::Read), (h(i, k), Access::ReadWrite)],
-                move || {
-                    if p.poisoned() {
-                        return;
-                    }
-                    // SAFETY: declared Read on (k,k) and ReadWrite on (i,k) —
-                    // the DAG serializes this against writers of either tile.
-                    let l = unsafe { akk.as_slice() };
-                    let b = unsafe { aik.as_mut_slice() };
-                    dtrsm(
-                        Side::Right,
-                        Trans::Yes,
-                        aik.rows,
-                        aik.cols,
-                        1.0,
-                        l,
-                        akk.rows,
-                        b,
-                        aik.rows,
-                    );
-                },
-            );
-        }
-        for j in k + 1..nt {
-            let ajk = a.view(j, k);
-            let ajj = a.view(j, j);
-            let p = poison.clone();
-            graph.submit(
-                "syrk",
-                0,
-                &[(h(j, k), Access::Read), (h(j, j), Access::ReadWrite)],
-                move || {
-                    if p.poisoned() {
-                        return;
-                    }
-                    // SAFETY: declared Read on (j,k) and ReadWrite on (j,j) —
-                    // the DAG serializes this against writers of either tile.
-                    let src = unsafe { ajk.as_slice() };
-                    let dst = unsafe { ajj.as_mut_slice() };
-                    dsyrk(
-                        Trans::No,
-                        ajj.rows,
-                        ajk.cols,
-                        -1.0,
-                        src,
-                        ajk.rows,
-                        1.0,
-                        dst,
-                        ajj.rows,
-                    );
-                },
-            );
-            for i in j + 1..nt {
-                let aik = a.view(i, k);
-                let ajk = a.view(j, k);
-                let aij = a.view(i, j);
-                let p = poison.clone();
-                graph.submit(
-                    "gemm",
-                    0,
-                    &[
-                        (h(i, k), Access::Read),
-                        (h(j, k), Access::Read),
-                        (h(i, j), Access::ReadWrite),
-                    ],
-                    move || {
-                        if p.poisoned() {
-                            return;
-                        }
-                        // SAFETY: declared Read on (i,k)/(j,k) and ReadWrite
-                        // on (i,j); the DAG orders this after the panel
-                        // writers and serializes the (i,j) update.
-                        let x = unsafe { aik.as_slice() };
-                        let y = unsafe { ajk.as_slice() };
-                        let c = unsafe { aij.as_mut_slice() };
-                        dgemm(
-                            Trans::No,
-                            Trans::Yes,
-                            aij.rows,
-                            aij.cols,
-                            aik.cols,
-                            -1.0,
-                            x,
-                            aik.rows,
-                            y,
-                            ajk.rows,
-                            1.0,
-                            c,
-                            aij.rows,
-                        );
-                    },
+            CholTask::Syrk { k, j } => {
+                let a = view((j, k));
+                dsyrk(
+                    Trans::No,
+                    out.rows,
+                    a.cols,
+                    -1.0,
+                    read(a),
+                    a.rows,
+                    1.0,
+                    c,
+                    out.rows,
+                );
+            }
+            CholTask::Gemm { k, j, i } => {
+                let (x, y) = (view((i, k)), view((j, k)));
+                let (m, n) = (out.rows, out.cols);
+                dgemm(
+                    Trans::No,
+                    Trans::Yes,
+                    m,
+                    n,
+                    x.cols,
+                    -1.0,
+                    read(x),
+                    x.rows,
+                    read(y),
+                    y.rows,
+                    1.0,
+                    c,
+                    m,
                 );
             }
         }
-    }
-    let stats = rt.run(graph);
-    match poison.take() {
-        Some(err) => Err(err),
-        None => Ok(stats),
-    }
+        Ok(())
+    })
 }
 
 /// Log-determinant `ln|A|` from the tile Cholesky factor: `2·Σ ln L_ii`.
@@ -285,19 +176,5 @@ mod tests {
         let rt = Runtime::new(4);
         let err = tile_potrf(&mut a, &rt).unwrap_err();
         assert_eq!(err, LinalgError::NotPositiveDefinite { index: 13 });
-    }
-
-    #[test]
-    fn task_count_matches_formula() {
-        // nt tiles: potrf nt, trsm nt(nt-1)/2, syrk nt(nt-1)/2, gemm C(nt,3).
-        let k = kernel(96, 6);
-        let mut a = TileMatrix::from_kernel_symmetric_lower(&k, 16, 1);
-        let rt = Runtime::new(2);
-        let stats = tile_potrf(&mut a, &rt).unwrap();
-        let nt = 6usize;
-        let expected = nt + nt * (nt - 1) / 2 * 2 + nt * (nt - 1) * (nt - 2) / 6;
-        assert_eq!(stats.tasks_executed, expected);
-        // Critical path of tile Cholesky = 3(nt-1)+1 tasks (potrf→trsm→syrk chain).
-        assert_eq!(stats.critical_path_tasks, 3 * (nt - 1) + 1);
     }
 }

@@ -29,5 +29,5 @@ pub use block_chol::{block_potrf, block_potrf_with_panel};
 pub use dense_chol::{tile_logdet, tile_potrf};
 pub use layout::{Tile, TileMatrix};
 pub use ops::{tile_gemm, tile_symm_lower, tile_trmm_lower};
-pub use solve::{tile_potrs, tile_trsm, TriangularSide};
-pub use view::TileView;
+pub use solve::{tile_potrs, tile_trsm, trsm_block, TriangularSide};
+pub use view::{rhs_views, FactorRef, RhsView, TileView};

@@ -4,225 +4,91 @@
 //! `L⁻¹ Z` (for the quadratic form `Zᵀ Σ⁻¹ Z`) and the predictor needs the
 //! full `Σ⁻¹ Z = L⁻ᵀ L⁻¹ Z`. Right-hand sides are dense column-major
 //! matrices (`n × nrhs`) partitioned into `nb`-row blocks; each block is one
-//! data handle, so the solve pipelines with the factorization's trailing
-//! updates when both graphs are merged by the caller.
+//! data handle of the solve DAG in [`exa_runtime::chol`]. The factor is only
+//! read, so any number of solves may share it.
 
-use crate::layout::TileMatrix;
-use crate::view::TileView;
+use crate::layout::{Tile, TileMatrix};
+use crate::view::{rhs_views, FactorRef, RhsView};
 use exa_linalg::{dgemm, dtrsm, Mat, Side, Trans};
-use exa_runtime::{Access, ExecStats, Runtime, TaskGraph};
-
-/// A raw, `Send`able view of one `nb`-row block of a dense RHS matrix.
-///
-/// Safety contract mirrors [`TileView`]: one view per runtime handle, the
-/// owning `Mat` outlives the synchronous `Runtime::run`, and row blocks are
-/// accessed strictly through the declared access modes.
-#[derive(Clone, Copy, Debug)]
-struct RhsView {
-    ptr: *mut f64,
-    /// Leading dimension of the parent matrix (its global row count).
-    ld: usize,
-    /// Rows in this block.
-    rows: usize,
-    /// Columns (number of right-hand sides).
-    cols: usize,
-}
-
-// SAFETY: RhsView is a plain pointer/shape bundle; actual access goes through
-// the unsafe accessors whose contracts require runtime-granted access modes,
-// and the STF DAG serializes writers (module docs above).
-unsafe impl Send for RhsView {}
-// SAFETY: as above — sharing the view grants nothing without the accessors.
-unsafe impl Sync for RhsView {}
-
-impl RhsView {
-    /// # Safety
-    /// Caller must hold runtime-granted access; see the module docs.
-    #[inline]
-    unsafe fn as_mut_slice<'a>(self) -> &'a mut [f64] {
-        // The block spans columns 0..cols with stride `ld`; expose the full
-        // strided window (length covers the last column's rows).
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.ld * (self.cols - 1) + self.rows) }
-    }
-
-    /// # Safety
-    /// Caller must hold runtime-granted `Read` access; see the module docs.
-    #[inline]
-    unsafe fn as_slice<'a>(self) -> &'a [f64] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.ld * (self.cols - 1) + self.rows) }
-    }
-}
-
-fn rhs_views(b: &mut Mat, nb: usize) -> Vec<RhsView> {
-    let (n, nrhs) = (b.nrows(), b.ncols());
-    let ld = b.ld();
-    let base = b.as_mut_slice().as_mut_ptr();
-    (0..n.div_ceil(nb))
-        .map(|k| RhsView {
-            // SAFETY: offset stays within the buffer (k*nb < n).
-            ptr: unsafe { base.add(k * nb) },
-            ld,
-            rows: nb.min(n - k * nb),
-            cols: nrhs,
-        })
-        .collect()
-}
-
-/// Whether to apply `L` or `Lᵀ` in [`tile_trsm`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TriangularSide {
-    /// Solve `L · X = B` (forward substitution).
-    Forward,
-    /// Solve `Lᵀ · X = B` (backward substitution).
-    Backward,
-}
+use exa_runtime::chol::{solve, SolveTask};
+pub use exa_runtime::TriangularSide;
+use exa_runtime::{ExecStats, Runtime};
 
 /// Solves `L X = B` or `Lᵀ X = B` in place on `b`, where `l` holds the tile
 /// Cholesky factor in its lower tiles.
-///
-/// `l` is taken `&mut` only to create tile views; no task writes to it.
-pub fn tile_trsm(l: &mut TileMatrix, side: TriangularSide, b: &mut Mat, rt: &Runtime) -> ExecStats {
+pub fn tile_trsm(l: &TileMatrix, side: TriangularSide, b: &mut Mat, rt: &Runtime) -> ExecStats {
     assert_eq!(l.m, l.n, "factor must be square");
     assert_eq!(l.m, b.nrows(), "RHS row count mismatch");
     if b.ncols() == 0 || l.m == 0 {
         return ExecStats::empty(rt.num_workers());
     }
-    let nt = l.nt;
-    let mut graph = TaskGraph::new();
-    let bh = graph.register_many(nt);
-    let lh: Vec<Vec<exa_runtime::Handle>> = (0..nt).map(|_| graph.register_many(nt)).collect();
-    let views = rhs_views(b, l.nb);
-
-    match side {
-        TriangularSide::Forward => {
-            for k in 0..nt {
-                let lkk = l.view(k, k);
-                let bk = views[k];
-                graph.submit(
-                    "trsm-rhs",
-                    2,
-                    &[(lh[k][k], Access::Read), (bh[k], Access::ReadWrite)],
-                    move || {
-                        // SAFETY: declared Read on L(k,k) and ReadWrite on
-                        // B[k]; the DAG serializes this task accordingly.
-                        let lbuf = unsafe { lkk.as_slice() };
-                        let bbuf = unsafe { bk.as_mut_slice() };
-                        dtrsm(
-                            Side::Left,
-                            Trans::No,
-                            bk.rows,
-                            bk.cols,
-                            1.0,
-                            lbuf,
-                            lkk.rows,
-                            bbuf,
-                            bk.ld,
-                        );
-                    },
+    let blocks = rhs_views(b, l.nb);
+    let factor = FactorRef::new(l);
+    solve(l.nt, side, rt, move |task| {
+        // SAFETY: `l` is borrowed until this function returns, which is after
+        // the run.
+        let l = unsafe { factor.get() };
+        match task {
+            // SAFETY: `solve` declared ReadWrite on B[k] for this task.
+            SolveTask::Trsm { k } => unsafe { trsm_block(l.tile(k, k), side, blocks[k]) },
+            SolveTask::Gemm { k, i } => {
+                // The lower tile joining blocks i and k: L(i,k) going forward,
+                // L(k,i) (applied transposed) going backward.
+                let (t, bk, bi) = (l.tile(i.max(k), i.min(k)), blocks[k], blocks[i]);
+                // SAFETY: `solve` declared Read on B[k] and ReadWrite on B[i].
+                let (src, dst) = unsafe { (bk.as_slice(), bi.as_mut_slice()) };
+                let (m, n, kk) = (bi.rows, bk.cols, bk.rows);
+                dgemm(
+                    op(side),
+                    Trans::No,
+                    m,
+                    n,
+                    kk,
+                    -1.0,
+                    &t.data,
+                    t.rows,
+                    src,
+                    bk.ld,
+                    1.0,
+                    dst,
+                    bi.ld,
                 );
-                for i in k + 1..nt {
-                    let lik = l.view(i, k);
-                    let bk = views[k];
-                    let bi = views[i];
-                    graph.submit(
-                        "gemm-rhs",
-                        1,
-                        &[
-                            (lh[k][i], Access::Read),
-                            (bh[k], Access::Read),
-                            (bh[i], Access::ReadWrite),
-                        ],
-                        move || {
-                            gemm_update(Trans::No, lik, bk, bi);
-                        },
-                    );
-                }
             }
         }
-        TriangularSide::Backward => {
-            for k in (0..nt).rev() {
-                let lkk = l.view(k, k);
-                let bk = views[k];
-                graph.submit(
-                    "trsm-rhs-t",
-                    2,
-                    &[(lh[k][k], Access::Read), (bh[k], Access::ReadWrite)],
-                    move || {
-                        // SAFETY: declared Read on L(k,k) and ReadWrite on
-                        // B[k]; the DAG serializes this task accordingly.
-                        let lbuf = unsafe { lkk.as_slice() };
-                        let bbuf = unsafe { bk.as_mut_slice() };
-                        dtrsm(
-                            Side::Left,
-                            Trans::Yes,
-                            bk.rows,
-                            bk.cols,
-                            1.0,
-                            lbuf,
-                            lkk.rows,
-                            bbuf,
-                            bk.ld,
-                        );
-                    },
-                );
-                for i in 0..k {
-                    // B[i] -= L(k,i)ᵀ · B[k] (tile (k,i) sits below the diagonal).
-                    let lki = l.view(k, i);
-                    let bk = views[k];
-                    let bi = views[i];
-                    graph.submit(
-                        "gemm-rhs-t",
-                        1,
-                        &[
-                            (lh[i][k], Access::Read),
-                            (bh[k], Access::Read),
-                            (bh[i], Access::ReadWrite),
-                        ],
-                        move || {
-                            gemm_update(Trans::Yes, lki, bk, bi);
-                        },
-                    );
-                }
-            }
-        }
-    }
-    rt.run(graph)
+    })
 }
 
-/// `B_i -= op(L) · B_k` for one tile/row-block pair.
-fn gemm_update(trans: Trans, ltile: TileView, bk: RhsView, bi: RhsView) {
-    // SAFETY: only called from tasks that declared Read on the L tile and
-    // B[k], and ReadWrite on B[i]; the DAG grants those borrows for the
-    // task's duration.
-    let lbuf = unsafe { ltile.as_slice() };
-    let src = unsafe { bk.as_slice() };
-    let dst = unsafe { bi.as_mut_slice() };
-    let (m, kk) = match trans {
-        Trans::No => (ltile.rows, ltile.cols),
-        Trans::Yes => (ltile.cols, ltile.rows),
-    };
-    debug_assert_eq!(m, bi.rows);
-    debug_assert_eq!(kk, bk.rows);
-    dgemm(
-        trans,
-        Trans::No,
-        m,
+fn op(side: TriangularSide) -> Trans {
+    match side {
+        TriangularSide::Forward => Trans::No,
+        TriangularSide::Backward => Trans::Yes,
+    }
+}
+
+/// `B[k] ← op(L_kk)⁻¹ · B[k]` against a dense diagonal tile: the solve task
+/// the tile and TLR solvers share.
+///
+/// # Safety
+/// Caller must hold runtime-granted `ReadWrite` access to `bk`.
+pub unsafe fn trsm_block(diag: &Tile, side: TriangularSide, bk: RhsView) {
+    // SAFETY: the caller holds ReadWrite on the block.
+    let x = unsafe { bk.as_mut_slice() };
+    dtrsm(
+        Side::Left,
+        op(side),
+        bk.rows,
         bk.cols,
-        kk,
-        -1.0,
-        lbuf,
-        ltile.rows,
-        src,
-        bk.ld,
         1.0,
-        dst,
-        bi.ld,
+        &diag.data,
+        diag.rows,
+        x,
+        bk.ld,
     );
 }
 
 /// Convenience: full SPD solve `A X = B` given the tile Cholesky factor
 /// (`L L' X = B`), overwriting `b` with the solution.
-pub fn tile_potrs(l: &mut TileMatrix, b: &mut Mat, rt: &Runtime) {
+pub fn tile_potrs(l: &TileMatrix, b: &mut Mat, rt: &Runtime) {
     tile_trsm(l, TriangularSide::Forward, b, rt);
     tile_trsm(l, TriangularSide::Backward, b, rt);
 }
@@ -257,7 +123,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(2);
         let b = Mat::gaussian(60, 5, &mut rng);
         let mut x = b.clone();
-        tile_potrs(&mut a, &mut x, &rt);
+        tile_potrs(&a, &mut x, &rt);
         let r = residual_norm(&dense, &x, &b);
         assert!(
             r < 1e-8 * frobenius_norm(60, 5, b.as_slice(), 60),
@@ -280,7 +146,7 @@ mod tests {
 
         // Forward only.
         let mut x_tile = b.clone();
-        tile_trsm(&mut a, TriangularSide::Forward, &mut x_tile, &rt);
+        tile_trsm(&a, TriangularSide::Forward, &mut x_tile, &rt);
         let mut x_ref = b.clone();
         dtrsm(
             Side::Left,
@@ -298,7 +164,7 @@ mod tests {
         }
 
         // Backward on top.
-        tile_trsm(&mut a, TriangularSide::Backward, &mut x_tile, &rt);
+        tile_trsm(&a, TriangularSide::Backward, &mut x_tile, &rt);
         dtrsm(
             Side::Left,
             Trans::Yes,
@@ -323,7 +189,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(6);
         let b = Mat::gaussian(37, 1, &mut rng);
         let mut x = b.clone();
-        tile_potrs(&mut a, &mut x, &rt);
+        tile_potrs(&a, &mut x, &rt);
         assert!(residual_norm(&dense, &x, &b) < 1e-8);
     }
 
@@ -335,8 +201,8 @@ mod tests {
         let b = Mat::gaussian(50, 4, &mut rng);
         let mut x1 = b.clone();
         let mut x8 = b.clone();
-        tile_potrs(&mut a, &mut x1, &Runtime::new(1));
-        tile_potrs(&mut a, &mut x8, &Runtime::new(8));
+        tile_potrs(&a, &mut x1, &Runtime::new(1));
+        tile_potrs(&a, &mut x8, &Runtime::new(8));
         assert_eq!(x1.as_slice(), x8.as_slice());
     }
 
@@ -346,7 +212,7 @@ mod tests {
         let rt = Runtime::new(2);
         tile_potrf(&mut a, &rt).unwrap();
         let mut x = Mat::zeros(20, 0);
-        let stats = tile_trsm(&mut a, TriangularSide::Forward, &mut x, &rt);
+        let stats = tile_trsm(&a, TriangularSide::Forward, &mut x, &rt);
         assert_eq!(stats.tasks_executed, 0);
     }
 }

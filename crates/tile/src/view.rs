@@ -13,6 +13,9 @@
 //!    graph synchronously before returning);
 //! 3. tiles are separate `Vec` allocations, so distinct views never alias.
 
+use crate::layout::TileMatrix;
+use exa_linalg::Mat;
+
 /// A raw, `Send`able view of one tile's buffer.
 #[derive(Clone, Copy, Debug)]
 pub struct TileView {
@@ -65,7 +68,91 @@ impl TileView {
     }
 }
 
-use crate::layout::TileMatrix;
+/// A raw, `Send`able view of one `nb`-row block of a dense column-major
+/// right-hand-side matrix: the unit the tile and TLR triangular solves
+/// declare to the runtime.
+///
+/// Safety contract mirrors [`TileView`]: one view per runtime handle, the
+/// owning `Mat` outlives the synchronous `Runtime::run`, and row blocks are
+/// accessed strictly through the declared access modes.
+#[derive(Clone, Copy, Debug)]
+pub struct RhsView {
+    ptr: *mut f64,
+    /// Leading dimension of the parent matrix (its global row count).
+    pub ld: usize,
+    /// Rows in this block.
+    pub rows: usize,
+    /// Columns (number of right-hand sides).
+    pub cols: usize,
+}
+
+// SAFETY: RhsView is a plain pointer/shape bundle; actual access goes through
+// the unsafe accessors whose contracts require runtime-granted access modes,
+// and the STF DAG serializes writers.
+unsafe impl Send for RhsView {}
+// SAFETY: as above — sharing the view grants nothing without the accessors.
+unsafe impl Sync for RhsView {}
+
+impl RhsView {
+    /// The block's strided window: columns `0..cols` at stride `ld`, ending
+    /// with the last column's rows.
+    ///
+    /// # Safety
+    /// Caller must hold runtime-granted `Write`/`ReadWrite` access to the
+    /// block, and the owning `Mat` must be alive.
+    #[inline]
+    pub unsafe fn as_mut_slice<'a>(self) -> &'a mut [f64] {
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.ld * (self.cols - 1) + self.rows) }
+    }
+
+    /// # Safety
+    /// Caller must hold runtime-granted `Read` (or stronger) access to the
+    /// block, and the owning `Mat` must be alive.
+    #[inline]
+    pub unsafe fn as_slice<'a>(self) -> &'a [f64] {
+        unsafe { std::slice::from_raw_parts(self.ptr, self.ld * (self.cols - 1) + self.rows) }
+    }
+}
+
+/// Splits `b` (with at least one column) into views of its `nb`-row blocks.
+pub fn rhs_views(b: &mut Mat, nb: usize) -> Vec<RhsView> {
+    let (n, nrhs) = (b.nrows(), b.ncols());
+    let ld = b.ld();
+    let base = b.as_mut_slice().as_mut_ptr();
+    (0..n.div_ceil(nb))
+        .map(|k| RhsView {
+            // SAFETY: offset stays within the buffer (k*nb < n).
+            ptr: unsafe { base.add(k * nb) },
+            ld,
+            rows: nb.min(n - k * nb),
+            cols: nrhs,
+        })
+        .collect()
+}
+
+/// A `&T` with its lifetime erased, so the `'static` kernel of a triangular
+/// solve can read the factor it was handed by shared reference.
+pub struct FactorRef<T>(*const T);
+
+// SAFETY: a FactorRef only ever yields `&T`, which `T: Sync` makes safe to
+// use from any thread.
+unsafe impl<T: Sync> Send for FactorRef<T> {}
+// SAFETY: as above.
+unsafe impl<T: Sync> Sync for FactorRef<T> {}
+
+impl<T> FactorRef<T> {
+    pub fn new(factor: &T) -> Self {
+        FactorRef(factor)
+    }
+
+    /// # Safety
+    /// The borrow passed to [`FactorRef::new`] must still be live: the solve
+    /// that created this value must not have returned yet.
+    #[inline]
+    pub unsafe fn get<'a>(&self) -> &'a T {
+        unsafe { &*self.0 }
+    }
+}
 
 impl TileMatrix {
     /// A [`TileView`] of tile `(i, j)`.

@@ -61,7 +61,7 @@ proptest! {
         tile_potrf(&mut tiles, &rt).unwrap();
         let b = Mat::gaussian(n, nrhs, &mut rng);
         let mut x = b.clone();
-        tile_potrs(&mut tiles, &mut x, &rt);
+        tile_potrs(&tiles, &mut x, &rt);
         let ax = dense.matmul(&x);
         let mut r = vec![0.0; n * nrhs];
         for (ri, (p, q)) in r.iter_mut().zip(ax.as_slice().iter().zip(b.as_slice())) {

@@ -1,16 +1,10 @@
 //! TLR Cholesky factorization (HiCMA's `hicma_dpotrf`).
 //!
-//! The same right-looking loop nest as the dense tile Cholesky, with the
-//! three off-diagonal kernels swapped for their low-rank counterparts:
-//!
-//! ```text
-//! for k in 0..nt:
-//!     POTRF(D_k)                                   # dense diagonal tile
-//!     for i in k+1..nt:  LR-TRSM(D_k → A[i][k])    # V ← L⁻¹V, rank kept
-//!     for j in k+1..nt:  LR-SYRK(A[j][k] → D_j)    # Gram trick, O(nb²k)
-//!         for i in j+1..nt:
-//!             LR-GEMM(A[i][k], A[j][k] → A[i][j])  # concat + recompress
-//! ```
+//! The same task DAG as the dense tile Cholesky ([`exa_runtime::chol`]),
+//! with the three off-diagonal kernels swapped for their low-rank
+//! counterparts: LR-TRSM (`V ← L⁻¹V`, rank kept), LR-SYRK (Gram trick,
+//! `O(nb²k)`) and LR-GEMM (concatenate + recompress); POTRF stays dense on
+//! the diagonal tiles.
 //!
 //! Every flop count is rank-dependent, which is where the arithmetic savings
 //! of the paper's Figures 3–4 come from; the recompression threshold equals
@@ -20,71 +14,48 @@ use crate::arith::{lr_gemm, lr_syrk, lr_trsm};
 use crate::lr::LrTile;
 use crate::tlrmat::TlrMatrix;
 use exa_linalg::{dpotrf, LinalgError};
-use exa_runtime::{Access, ExecStats, Runtime, TaskGraph};
+use exa_runtime::chol::{factor, CholTask};
+use exa_runtime::{ExecStats, Runtime};
 use exa_tile::Tile;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// First-failure latch shared by all tasks of one factorization.
-#[derive(Default)]
-struct Poison {
-    failed: AtomicBool,
-    info: Mutex<Option<LinalgError>>,
-}
-
-impl Poison {
-    fn poisoned(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
-    }
-
-    fn set(&self, err: LinalgError) {
-        let mut slot = self.info.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        self.failed.store(true, Ordering::Release);
-    }
-
-    fn take(&self) -> Option<LinalgError> {
-        *self.info.lock().unwrap()
-    }
-}
-
-/// Raw view of a dense diagonal tile.
+/// Raw view of a `TlrMatrix`'s tiles for the factorization's task kernel.
 #[derive(Clone, Copy)]
-pub(crate) struct DiagView(pub(crate) *mut Tile);
-// SAFETY: DiagView is a bare pointer; dereferencing goes through the unsafe
-// `get`, whose contract requires runtime-granted access, and the STF DAG
-// serializes writers of each tile handle.
-unsafe impl Send for DiagView {}
-// SAFETY: as above — sharing the view grants nothing without `get`.
-unsafe impl Sync for DiagView {}
+pub(crate) struct TlrTiles {
+    pub(crate) diag: *mut Tile,
+    pub(crate) low: *mut LrTile,
+    pub(crate) nt: usize,
+}
+// SAFETY: TlrTiles is two bare pointers; dereferencing goes through the
+// unsafe accessors, whose contract requires runtime-granted access, and the
+// STF DAG serializes writers of each tile handle.
+unsafe impl Send for TlrTiles {}
+// SAFETY: as above — sharing the view grants nothing without the accessors.
+unsafe impl Sync for TlrTiles {}
 
-impl DiagView {
+impl TlrTiles {
     /// # Safety
-    /// Caller must hold runtime-granted access to the corresponding handle
+    /// Caller must hold runtime-granted `Read` access to diagonal tile `k`
     /// and the owning `TlrMatrix` must outlive the synchronous run.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get<'a>(self) -> &'a mut Tile {
-        unsafe { &mut *self.0 }
+    unsafe fn diag<'a>(self, k: usize) -> &'a Tile {
+        unsafe { &*self.diag.add(k) }
     }
-}
 
-/// Raw view of a low-rank tile.
-#[derive(Clone, Copy)]
-pub(crate) struct LrView(pub(crate) *mut LrTile);
-// SAFETY: same argument as DiagView — a bare pointer whose dereference is
-// gated behind the unsafe `get` and the runtime's declared access modes.
-unsafe impl Send for LrView {}
-// SAFETY: as above.
-unsafe impl Sync for LrView {}
-
-impl LrView {
     /// # Safety
-    /// Same contract as [`DiagView::get`].
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get<'a>(self) -> &'a mut LrTile {
-        unsafe { &mut *self.0 }
+    /// As [`TlrTiles::diag`], with `ReadWrite` access.
+    unsafe fn diag_mut<'a>(self, k: usize) -> &'a mut Tile {
+        unsafe { &mut *self.diag.add(k) }
+    }
+
+    /// # Safety
+    /// As [`TlrTiles::diag`], for low-rank tile `(i, j)`, `i > j`.
+    unsafe fn lr<'a>(self, i: usize, j: usize) -> &'a LrTile {
+        unsafe { &*self.low.add(j * self.nt + i) }
+    }
+
+    /// # Safety
+    /// As [`TlrTiles::lr`], with `ReadWrite` access.
+    unsafe fn lr_mut<'a>(self, i: usize, j: usize) -> &'a mut LrTile {
+        unsafe { &mut *self.low.add(j * self.nt + i) }
     }
 }
 
@@ -96,108 +67,34 @@ impl LrView {
 /// positive definiteness — at loose accuracy thresholds this is a real
 /// phenomenon the paper works around by tightening `eps` (§VIII-D).
 pub fn tlr_potrf(a: &mut TlrMatrix, rt: &Runtime) -> Result<ExecStats, LinalgError> {
-    let nt = a.nt;
-    let nb = a.nb;
-    let eps = a.eps;
-    let mut graph = TaskGraph::new();
-    let dh = graph.register_many(nt);
-    let lh: Vec<Vec<exa_runtime::Handle>> = (0..nt).map(|_| graph.register_many(nt)).collect();
-    // lh[j][i] guards lr tile (i, j), i > j.
-    let poison = Arc::new(Poison::default());
-
-    for k in 0..nt {
-        let dk = DiagView(a.diag_ptr(k));
-        let p = poison.clone();
-        let off = k * nb;
-        graph.submit("potrf", 2, &[(dh[k], Access::ReadWrite)], move || {
-            if p.poisoned() {
-                return;
-            }
-            // SAFETY: declared ReadWrite on diagonal handle k — the DAG
-            // grants this task exclusive access to the tile.
-            let t = unsafe { dk.get() };
-            if let Err(LinalgError::NotPositiveDefinite { index }) =
-                dpotrf(t.rows, &mut t.data, t.rows)
-            {
-                p.set(LinalgError::NotPositiveDefinite { index: off + index });
-            }
-        });
-        for (i, &lhki) in lh[k].iter().enumerate().skip(k + 1) {
-            let dk = DiagView(a.diag_ptr(k));
-            let aik = LrView(a.lr_ptr(i, k));
-            let p = poison.clone();
-            graph.submit(
-                "lr-trsm",
-                1,
-                &[(dh[k], Access::Read), (lhki, Access::ReadWrite)],
-                move || {
-                    if p.poisoned() {
-                        return;
-                    }
-                    // SAFETY: declared Read on the diagonal and ReadWrite on
-                    // (i,k); the DAG serializes against writers of both.
-                    let l = unsafe { dk.get() };
-                    let t = unsafe { aik.get() };
-                    lr_trsm(&l.data, l.rows, t);
-                },
-            );
-        }
-        for j in k + 1..nt {
-            let ajk = LrView(a.lr_ptr(j, k));
-            let dj = DiagView(a.diag_ptr(j));
-            let p = poison.clone();
-            graph.submit(
-                "lr-syrk",
-                0,
-                &[(lh[k][j], Access::Read), (dh[j], Access::ReadWrite)],
-                move || {
-                    if p.poisoned() {
-                        return;
-                    }
-                    // SAFETY: declared Read on (j,k) and ReadWrite on the
-                    // diagonal j; the DAG serializes against both tiles'
-                    // writers.
-                    let src = unsafe { ajk.get() };
-                    let dst = unsafe { dj.get() };
-                    lr_syrk(src, &mut dst.data, dst.rows);
-                },
-            );
-            for i in j + 1..nt {
-                let aik = LrView(a.lr_ptr(i, k));
-                let ajk = LrView(a.lr_ptr(j, k));
-                let aij = LrView(a.lr_ptr(i, j));
-                let p = poison.clone();
-                graph.submit(
-                    "lr-gemm",
-                    0,
-                    &[
-                        (lh[k][i], Access::Read),
-                        (lh[k][j], Access::Read),
-                        (lh[j][i], Access::ReadWrite),
-                    ],
-                    move || {
-                        if p.poisoned() {
-                            return;
-                        }
-                        // SAFETY: declared Read on (i,k)/(j,k) and ReadWrite
-                        // on (i,j); the DAG orders this after the panel
-                        // writers and serializes the (i,j) update.
-                        let x = unsafe { aik.get() };
-                        let y = unsafe { ajk.get() };
-                        let c = unsafe { aij.get() };
-                        if let Err(e) = lr_gemm(c, x, y, eps) {
-                            p.set(e);
-                        }
-                    },
-                );
+    let (nb, eps) = (a.nb, a.eps);
+    let tiles = a.raw_tiles();
+    factor(a.nt, rt, move |task| {
+        // SAFETY: `factor` declares ReadWrite on `task.output()` and Read on
+        // `task.inputs()` — exactly the tiles each arm borrows, mutably and
+        // shared respectively — and `a` outlives the run.
+        unsafe {
+            match task {
+                CholTask::Potrf { k } => {
+                    let t = tiles.diag_mut(k);
+                    dpotrf(t.rows, &mut t.data, t.rows).map_err(|e| e.offset_minor(k * nb))
+                }
+                CholTask::Trsm { k, i } => {
+                    let l = tiles.diag(k);
+                    lr_trsm(&l.data, l.rows, tiles.lr_mut(i, k));
+                    Ok(())
+                }
+                CholTask::Syrk { k, j } => {
+                    let d = tiles.diag_mut(j);
+                    lr_syrk(tiles.lr(j, k), &mut d.data, d.rows);
+                    Ok(())
+                }
+                CholTask::Gemm { k, j, i } => {
+                    lr_gemm(tiles.lr_mut(i, j), tiles.lr(i, k), tiles.lr(j, k), eps)
+                }
             }
         }
-    }
-    let stats = rt.run(graph);
-    match poison.take() {
-        Some(err) => Err(err),
-        None => Ok(stats),
-    }
+    })
 }
 
 /// `ln|A|` from the factored TLR matrix: `2·Σ_k Σ_i ln (L_kk)_ii`.
@@ -320,16 +217,6 @@ mod tests {
         // Same task set ⇒ same arithmetic ⇒ identical factors.
         let (d1, d4) = (tlr_factor_to_dense(&a1), tlr_factor_to_dense(&a4));
         assert_eq!(d1.as_slice(), d4.as_slice());
-    }
-
-    #[test]
-    fn task_count_matches_dense_tile_formula() {
-        let k = kernel(100, 0.1, 5);
-        let mut a = TlrMatrix::from_kernel(&k, 20, 1e-9, CompressionMethod::Svd, 1, 5).unwrap();
-        let stats = tlr_potrf(&mut a, &Runtime::new(2)).unwrap();
-        let nt = 5usize;
-        let expected = nt + nt * (nt - 1) / 2 * 2 + nt * (nt - 1) * (nt - 2) / 6;
-        assert_eq!(stats.tasks_executed, expected);
     }
 
     #[test]

@@ -3,184 +3,53 @@
 //! After [`crate::tlr_potrf`] the matrix holds `L` in TLR form; the
 //! likelihood needs `L⁻¹Z` and the predictor `L⁻ᵀL⁻¹Z` (Eq. 4). Off-diagonal
 //! updates go through the factors (`U(VᵀB)`), so a solve costs
-//! `O(Σ_tiles k·nb·nrhs)` instead of the dense `O(n²·nrhs)`.
+//! `O(Σ_tiles k·nb·nrhs)` instead of the dense `O(n²·nrhs)`. The task DAG is
+//! the tile solver's ([`exa_runtime::chol`]); the factor is only read.
 
-use crate::chol::{DiagView, LrView};
 use crate::tlrmat::TlrMatrix;
-use exa_linalg::{dtrsm, Mat, Side, Trans};
-use exa_runtime::{Access, ExecStats, Runtime, TaskGraph};
+use exa_linalg::Mat;
+use exa_runtime::chol::{solve, SolveTask};
+use exa_runtime::{ExecStats, Runtime};
 pub use exa_tile::TriangularSide;
-
-/// Raw view of one `nb`-row block of the RHS (same contract as the tile
-/// solver's views: one handle per block, accesses mediated by the runtime).
-#[derive(Clone, Copy)]
-struct RhsView {
-    ptr: *mut f64,
-    ld: usize,
-    rows: usize,
-    cols: usize,
-}
-
-// SAFETY: RhsView is a plain pointer/shape bundle; dereferencing goes through
-// the unsafe accessors whose contracts require runtime-granted access, and
-// the STF DAG serializes writers of each block handle.
-unsafe impl Send for RhsView {}
-// SAFETY: as above — sharing the view grants nothing without the accessors.
-unsafe impl Sync for RhsView {}
-
-impl RhsView {
-    /// # Safety
-    /// Runtime-granted access required; owner outlives the run.
-    #[inline]
-    unsafe fn as_mut_slice<'a>(self) -> &'a mut [f64] {
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.ld * (self.cols - 1) + self.rows) }
-    }
-
-    /// # Safety
-    /// Runtime-granted `Read` access required; owner outlives the run.
-    #[inline]
-    unsafe fn as_slice<'a>(self) -> &'a [f64] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.ld * (self.cols - 1) + self.rows) }
-    }
-}
-
-fn rhs_views(b: &mut Mat, nb: usize) -> Vec<RhsView> {
-    let (n, nrhs) = (b.nrows(), b.ncols());
-    let ld = b.ld();
-    let base = b.as_mut_slice().as_mut_ptr();
-    (0..n.div_ceil(nb))
-        .map(|k| RhsView {
-            // SAFETY: k·nb < n keeps the offset in bounds.
-            ptr: unsafe { base.add(k * nb) },
-            ld,
-            rows: nb.min(n - k * nb),
-            cols: nrhs,
-        })
-        .collect()
-}
+use exa_tile::{rhs_views, trsm_block, FactorRef};
 
 /// Solves `L X = B` (forward) or `Lᵀ X = B` (backward) in place on `b`,
 /// where `l` holds the TLR Cholesky factor.
-pub fn tlr_trsm(l: &mut TlrMatrix, side: TriangularSide, b: &mut Mat, rt: &Runtime) -> ExecStats {
+pub fn tlr_trsm(l: &TlrMatrix, side: TriangularSide, b: &mut Mat, rt: &Runtime) -> ExecStats {
     assert_eq!(l.n, b.nrows(), "RHS row count mismatch");
     if b.ncols() == 0 || l.n == 0 {
         return ExecStats::empty(rt.num_workers());
     }
-    let nt = l.nt;
-    let mut graph = TaskGraph::new();
-    let bh = graph.register_many(nt);
-    let dh = graph.register_many(nt);
-    let lh: Vec<Vec<exa_runtime::Handle>> = (0..nt).map(|_| graph.register_many(nt)).collect();
-    let views = rhs_views(b, l.nb);
-
-    match side {
-        TriangularSide::Forward => {
-            for k in 0..nt {
-                let dk = DiagView(l.diag_ptr(k));
-                let bk = views[k];
-                graph.submit(
-                    "trsm-rhs",
-                    2,
-                    &[(dh[k], Access::Read), (bh[k], Access::ReadWrite)],
-                    move || {
-                        // SAFETY: declared Read on the diagonal and ReadWrite
-                        // on B[k]; the DAG serializes this task accordingly.
-                        let t = unsafe { dk.get() };
-                        let bbuf = unsafe { bk.as_mut_slice() };
-                        dtrsm(
-                            Side::Left,
-                            Trans::No,
-                            bk.rows,
-                            bk.cols,
-                            1.0,
-                            &t.data,
-                            t.rows,
-                            bbuf,
-                            bk.ld,
-                        );
-                    },
-                );
-                for i in k + 1..nt {
-                    let lik = LrView(l.lr_ptr(i, k));
-                    let bk = views[k];
-                    let bi = views[i];
-                    graph.submit(
-                        "lr-gemm-rhs",
-                        1,
-                        &[
-                            (lh[k][i], Access::Read),
-                            (bh[k], Access::Read),
-                            (bh[i], Access::ReadWrite),
-                        ],
-                        move || {
-                            // SAFETY: declared Read on L(i,k)/B[k] and
-                            // ReadWrite on B[i]; serialized by the DAG.
-                            let t = unsafe { lik.get() };
-                            let src = unsafe { bk.as_slice() };
-                            let dst = unsafe { bi.as_mut_slice() };
-                            t.gemm_acc(-1.0, src, bk.ld, bk.cols, 1.0, dst, bi.ld);
-                        },
-                    );
+    let blocks = rhs_views(b, l.nb);
+    let factor = FactorRef::new(l);
+    solve(l.nt, side, rt, move |task| {
+        // SAFETY: `l` is borrowed until this function returns, which is after
+        // the run.
+        let l = unsafe { factor.get() };
+        match task {
+            // SAFETY: `solve` declared ReadWrite on B[k] for this task.
+            SolveTask::Trsm { k } => unsafe { trsm_block(l.diag(k), side, blocks[k]) },
+            SolveTask::Gemm { k, i } => {
+                // Through the factors: L(i,k)·B[k] = U(VᵀB[k]) going forward,
+                // L(k,i)ᵀ·B[k] = V(UᵀB[k]) going backward.
+                let (t, bk, bi) = (l.lr(i.max(k), i.min(k)), blocks[k], blocks[i]);
+                // SAFETY: `solve` declared Read on B[k] and ReadWrite on B[i].
+                let (src, dst) = unsafe { (bk.as_slice(), bi.as_mut_slice()) };
+                match side {
+                    TriangularSide::Forward => {
+                        t.gemm_acc(-1.0, src, bk.ld, bk.cols, 1.0, dst, bi.ld)
+                    }
+                    TriangularSide::Backward => {
+                        t.gemm_trans_acc(-1.0, src, bk.ld, bk.cols, 1.0, dst, bi.ld)
+                    }
                 }
             }
         }
-        TriangularSide::Backward => {
-            for k in (0..nt).rev() {
-                let dk = DiagView(l.diag_ptr(k));
-                let bk = views[k];
-                graph.submit(
-                    "trsm-rhs-t",
-                    2,
-                    &[(dh[k], Access::Read), (bh[k], Access::ReadWrite)],
-                    move || {
-                        // SAFETY: declared Read on the diagonal and ReadWrite
-                        // on B[k]; the DAG serializes this task accordingly.
-                        let t = unsafe { dk.get() };
-                        let bbuf = unsafe { bk.as_mut_slice() };
-                        dtrsm(
-                            Side::Left,
-                            Trans::Yes,
-                            bk.rows,
-                            bk.cols,
-                            1.0,
-                            &t.data,
-                            t.rows,
-                            bbuf,
-                            bk.ld,
-                        );
-                    },
-                );
-                for i in 0..k {
-                    // B_i -= L(k,i)ᵀ B_k through the factors (V Uᵀ B_k).
-                    let lki = LrView(l.lr_ptr(k, i));
-                    let bk = views[k];
-                    let bi = views[i];
-                    graph.submit(
-                        "lr-gemm-rhs-t",
-                        1,
-                        &[
-                            (lh[i][k], Access::Read),
-                            (bh[k], Access::Read),
-                            (bh[i], Access::ReadWrite),
-                        ],
-                        move || {
-                            // SAFETY: declared Read on L(k,i)/B[k] and
-                            // ReadWrite on B[i]; serialized by the DAG.
-                            let t = unsafe { lki.get() };
-                            let src = unsafe { bk.as_slice() };
-                            let dst = unsafe { bi.as_mut_slice() };
-                            t.gemm_trans_acc(-1.0, src, bk.ld, bk.cols, 1.0, dst, bi.ld);
-                        },
-                    );
-                }
-            }
-        }
-    }
-    rt.run(graph)
+    })
 }
 
 /// Full SPD solve `A X = B` through the TLR factor (`L Lᵀ X = B`).
-pub fn tlr_potrs(l: &mut TlrMatrix, b: &mut Mat, rt: &Runtime) {
+pub fn tlr_potrs(l: &TlrMatrix, b: &mut Mat, rt: &Runtime) {
     tlr_trsm(l, TriangularSide::Forward, b, rt);
     tlr_trsm(l, TriangularSide::Backward, b, rt);
 }
@@ -191,7 +60,7 @@ mod tests {
     use crate::chol::tlr_potrf;
     use crate::compress::CompressionMethod;
     use exa_covariance::{DistanceMetric, Location, MaternKernel, MaternParams};
-    use exa_linalg::frobenius_norm;
+    use exa_linalg::{dtrsm, frobenius_norm, Side, Trans};
     use exa_util::Rng;
     use std::sync::Arc;
 
@@ -227,11 +96,11 @@ mod tests {
     #[test]
     fn solve_residual_tracks_accuracy() {
         for (eps, tol) in [(1e-11, 1e-8), (1e-6, 1e-3)] {
-            let (mut l, dense) = factored(80, 16, eps, 1);
+            let (l, dense) = factored(80, 16, eps, 1);
             let mut rng = Rng::seed_from_u64(2);
             let b = Mat::gaussian(80, 4, &mut rng);
             let mut x = b.clone();
-            tlr_potrs(&mut l, &mut x, &Runtime::new(4));
+            tlr_potrs(&l, &mut x, &Runtime::new(4));
             let r = rel_residual(&dense, &x, &b);
             assert!(r < tol, "eps={eps}: residual {r}");
         }
@@ -239,38 +108,38 @@ mod tests {
 
     #[test]
     fn forward_then_backward_equals_full_solve() {
-        let (mut l, _) = factored(60, 12, 1e-10, 3);
+        let (l, _) = factored(60, 12, 1e-10, 3);
         let mut rng = Rng::seed_from_u64(4);
         let b = Mat::gaussian(60, 2, &mut rng);
         let rt = Runtime::new(2);
         let mut x_split = b.clone();
-        tlr_trsm(&mut l, TriangularSide::Forward, &mut x_split, &rt);
-        tlr_trsm(&mut l, TriangularSide::Backward, &mut x_split, &rt);
+        tlr_trsm(&l, TriangularSide::Forward, &mut x_split, &rt);
+        tlr_trsm(&l, TriangularSide::Backward, &mut x_split, &rt);
         let mut x_full = b.clone();
-        tlr_potrs(&mut l, &mut x_full, &rt);
+        tlr_potrs(&l, &mut x_full, &rt);
         assert_eq!(x_split.as_slice(), x_full.as_slice());
     }
 
     #[test]
     fn deterministic_across_worker_counts() {
-        let (mut l, _) = factored(70, 14, 1e-9, 5);
+        let (l, _) = factored(70, 14, 1e-9, 5);
         let mut rng = Rng::seed_from_u64(6);
         let b = Mat::gaussian(70, 3, &mut rng);
         let mut x1 = b.clone();
         let mut x8 = b.clone();
-        tlr_potrs(&mut l, &mut x1, &Runtime::new(1));
-        tlr_potrs(&mut l, &mut x8, &Runtime::new(8));
+        tlr_potrs(&l, &mut x1, &Runtime::new(1));
+        tlr_potrs(&l, &mut x8, &Runtime::new(8));
         assert_eq!(x1.as_slice(), x8.as_slice());
     }
 
     #[test]
     fn quadratic_form_matches_dense_route() {
         // ‖L⁻¹Z‖² (the MLE quadratic term) via TLR vs dense Cholesky.
-        let (mut l, dense) = factored(64, 16, 1e-11, 7);
+        let (l, dense) = factored(64, 16, 1e-11, 7);
         let mut rng = Rng::seed_from_u64(8);
         let z = Mat::gaussian(64, 1, &mut rng);
         let mut w = z.clone();
-        tlr_trsm(&mut l, TriangularSide::Forward, &mut w, &Runtime::new(2));
+        tlr_trsm(&l, TriangularSide::Forward, &mut w, &Runtime::new(2));
         let got: f64 = w.as_slice().iter().map(|v| v * v).sum();
         let mut lref = dense.clone();
         exa_linalg::dpotrf(64, lref.as_mut_slice(), 64).unwrap();
@@ -292,9 +161,9 @@ mod tests {
 
     #[test]
     fn empty_rhs_is_noop() {
-        let (mut l, _) = factored(30, 10, 1e-9, 9);
+        let (l, _) = factored(30, 10, 1e-9, 9);
         let mut x = Mat::zeros(30, 0);
-        let stats = tlr_trsm(&mut l, TriangularSide::Forward, &mut x, &Runtime::new(2));
+        let stats = tlr_trsm(&l, TriangularSide::Forward, &mut x, &Runtime::new(2));
         assert_eq!(stats.tasks_executed, 0);
     }
 }

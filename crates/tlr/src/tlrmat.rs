@@ -166,14 +166,13 @@ impl TlrMatrix {
         &mut self.low[j * self.nt + i]
     }
 
-    /// Raw pointers for the task layer (see `chol.rs`).
-    pub(crate) fn diag_ptr(&mut self, k: usize) -> *mut Tile {
-        &mut self.diag[k] as *mut Tile
-    }
-
-    pub(crate) fn lr_ptr(&mut self, i: usize, j: usize) -> *mut LrTile {
-        debug_assert!(i > j);
-        &mut self.low[j * self.nt + i] as *mut LrTile
+    /// Raw tile pointers for the factorization's task kernel.
+    pub(crate) fn raw_tiles(&mut self) -> crate::chol::TlrTiles {
+        crate::chol::TlrTiles {
+            diag: self.diag.as_mut_ptr(),
+            low: self.low.as_mut_ptr(),
+            nt: self.nt,
+        }
     }
 
     /// Rank statistics over the strictly-lower tiles.
