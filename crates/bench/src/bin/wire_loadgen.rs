@@ -249,7 +249,7 @@ fn main() {
     println!("  queue high-water  {:>10}", serve.max_queue_depth);
     println!(
         "  latency mean/max  {:>7.0} / {:.0} µs (server-side)",
-        serve.mean_latency_seconds() * 1e6,
+        serve.mean_latency_seconds * 1e6,
         serve.max_latency_seconds * 1e6
     );
     println!(

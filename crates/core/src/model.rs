@@ -55,7 +55,6 @@ use exa_check::sync::Arc;
 use exa_covariance::{CovarianceKernel, DistanceMetric, Location, ParamCovariance};
 use exa_linalg::{LinalgError, Mat};
 use exa_runtime::Runtime;
-use exa_tile::{tile_gemm, TileMatrix};
 use exa_util::Stopwatch;
 use std::marker::PhantomData;
 
@@ -684,74 +683,25 @@ impl<K: ParamCovariance> FittedModel<K> {
     /// is one rectangular cross-covariance product, no factorization and no
     /// solve.
     ///
-    /// This is the general one-shot path: the cross-covariance block is
-    /// built in tile layout and the product runs over the task runtime, so a
-    /// single large query scales with the runtime's workers. Serving
-    /// workloads with many small queries should coalesce them through
-    /// [`FittedModel::predict_batch`] instead, which amortizes the per-call
-    /// setup into one lean blocked pass.
-    pub fn predict(&self, targets: &[Location], rt: &Runtime) -> Result<Prediction, ModelError> {
-        let alpha = self.alpha.as_ref().ok_or(ModelError::NoData)?;
-        validate_query(targets).map_err(ModelError::InvalidQuery)?;
-        let m = targets.len();
-        let n = self.kernel.len();
-        let mut sw = Stopwatch::start();
-        // Σ₁₂ over the joint list: rows = targets (0..m), cols = observed.
-        let kj = self.joint_kernel(targets);
-        let sigma12 = TileMatrix::from_kernel_rect(&kj, 0, m, m, n, self.config.nb);
-        let values = tile_gemm(&sigma12, alpha, rt.num_workers())
-            .as_slice()
-            .to_vec();
-        Ok(Prediction {
-            values,
-            factorization_seconds: 0.0,
-            solve_seconds: sw.lap(),
-        })
+    /// A [`FittedModel::predict_batch`] of one request, so a query answers
+    /// with the same bits alone or coalesced. `rt` is not used: the pass is
+    /// single-threaded (see `predict_batch`).
+    pub fn predict(&self, targets: &[Location], _rt: &Runtime) -> Result<Prediction, ModelError> {
+        let mut batch = self.predict_batch(&[targets])?;
+        Ok(batch.remove(0))
     }
 
     /// Kriging with per-target conditional variances (Eq. 3):
     /// `Var[Z₁|Z₂] = diag(Σ₁₁ − Σ₁₂ Σ₂₂⁻¹ Σ₂₁)`, through the cached factor
-    /// (one block solve with `m` right-hand sides, no factorization).
-    ///
-    /// The cross-covariance block is generated **once** (each entry costs a
-    /// kernel evaluation — a Bessel call for Matérn): the mean predictor is
-    /// its product with the cached `α`, and a pre-solve copy feeds the
-    /// variance dot products.
+    /// (one block solve with `m` right-hand sides, no factorization) — a
+    /// [`FittedModel::predict_batch_with_variance`] of one request.
     pub fn predict_with_variance(
         &self,
         targets: &[Location],
         rt: &Runtime,
     ) -> Result<(Prediction, Vec<f64>), ModelError> {
-        let alpha = self.alpha.as_ref().ok_or(ModelError::NoData)?;
-        validate_query(targets).map_err(ModelError::InvalidQuery)?;
-        let m = targets.len();
-        let n = self.kernel.len();
-        let mut sw = Stopwatch::start();
-        let kj = self.joint_kernel(targets);
-        // Σ₂₁ (n × m) as one dense block. The mean predictor reads it before
-        // the solve; the variance term needs only the *forward* solve, since
-        // Σ₁₂ Σ₂₂⁻¹ Σ₂₁ (j,j) = ‖L⁻¹ Σ₂₁(:,j)‖².
-        let mut s21 = Mat::from_fn(n, m, |i, j| kj.entry(m + i, j));
-        // Ẑ₁(j) = Σ₁₂(j,:) · α = Σ₂₁(:,j)ᵀ · α.
-        let a = alpha.col(0);
-        let values: Vec<f64> = (0..m)
-            .map(|j| s21.col(j).iter().zip(a).map(|(c, x)| c * x).sum())
-            .collect();
-        self.factor.trsm(TriangularSide::Forward, &mut s21, rt);
-        let sill = self.kernel.sill();
-        let variances = (0..m)
-            .map(|j| {
-                let acc: f64 = s21.col(j).iter().map(|x| x * x).sum();
-                // Clamp tiny negatives from approximation error.
-                (sill - acc).max(0.0)
-            })
-            .collect();
-        let prediction = Prediction {
-            values,
-            factorization_seconds: 0.0,
-            solve_seconds: sw.lap(),
-        };
-        Ok((prediction, variances))
+        let mut batch = self.predict_batch_with_variance(&[targets], rt)?;
+        Ok(batch.remove(0))
     }
 
     /// Coalesced kriging for a micro-batch of point-prediction requests
@@ -769,7 +719,7 @@ impl<K: ParamCovariance> FittedModel<K> {
     /// Deliberately single-threaded per batch: a prediction server scales
     /// across micro-batches with its worker threads, so the per-batch kernel
     /// stays lean instead of forking. Vectorized family fills may differ
-    /// from the entry-wise [`FittedModel::predict`] path by ≤ ~3·10⁻¹³
+    /// from entry-wise [`CovarianceKernel::entry`] evaluation by ≤ ~3·10⁻¹³
     /// relative error.
     ///
     /// Errors with [`ModelError::InvalidQuery`] if any request is empty or
@@ -901,17 +851,6 @@ impl<K: ParamCovariance> FittedModel<K> {
     /// The measurement vector, when present.
     pub fn data(&self) -> Option<&[f64]> {
         self.z.as_deref()
-    }
-
-    /// The kernel family over targets ++ observed, for cross-covariance
-    /// blocks (row/column offsets never meet the diagonal, so the nugget the
-    /// kernel carries is never applied).
-    fn joint_kernel(&self, targets: &[Location]) -> K {
-        let observed = self.kernel.locations_arc();
-        let mut joint = Vec::with_capacity(targets.len() + observed.len());
-        joint.extend_from_slice(targets);
-        joint.extend_from_slice(observed);
-        self.kernel.with_locations(Arc::new(joint))
     }
 
     /// A new session absorbing `points`/`values` at the tail of the observed
@@ -1297,9 +1236,9 @@ mod tests {
 
     #[test]
     fn batched_predictions_match_serial_paths() {
-        // One coalesced predict_batch call must agree with issuing the same
-        // requests one-by-one through predict / predict_with_variance, for
-        // every backend (fast vectorized exponential: ≤ ~1e-12 relative).
+        // One coalesced predict_batch call must answer each request with the
+        // bits it gets alone through predict / predict_with_variance (a batch
+        // of one), for every backend.
         for backend in [Backend::FullBlock, Backend::FullTile, Backend::tlr(1e-11)] {
             let (model, rt) = matern_model(10, 29, backend);
             let fitted = model.at_params(&[1.0, 0.1, 0.5], &rt).unwrap();
@@ -1309,6 +1248,7 @@ mod tests {
                 vec![Location::new(0.5, 0.5)],
             ];
             let slices: Vec<&[Location]> = requests.iter().map(|r| r.as_slice()).collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
             let before = crate::factor::factorization_count();
             let batch = fitted.predict_batch(&slices).unwrap();
             let batch_var = fitted.predict_batch_with_variance(&slices, &rt).unwrap();
@@ -1322,21 +1262,9 @@ mod tests {
                 let serial = fitted.predict(req, &rt).unwrap();
                 let (_, serial_vars) = fitted.predict_with_variance(req, &rt).unwrap();
                 assert_eq!(bp.values.len(), req.len());
-                for (a, b) in bp.values.iter().zip(&serial.values) {
-                    assert!(
-                        (a - b).abs() <= 1e-10 * b.abs().max(1.0),
-                        "{backend:?}: batch {a} vs serial {b}"
-                    );
-                }
-                for (a, b) in bv.values.iter().zip(&serial.values) {
-                    assert!((a - b).abs() <= 1e-10 * b.abs().max(1.0));
-                }
-                for (a, b) in vars.iter().zip(&serial_vars) {
-                    assert!(
-                        (a - b).abs() <= 1e-8,
-                        "{backend:?}: batch var {a} vs serial {b}"
-                    );
-                }
+                assert_eq!(bits(&bp.values), bits(&serial.values), "{backend:?}");
+                assert_eq!(bits(&bv.values), bits(&serial.values), "{backend:?}");
+                assert_eq!(bits(vars), bits(&serial_vars), "{backend:?}");
             }
         }
     }

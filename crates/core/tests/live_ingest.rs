@@ -209,38 +209,58 @@ fn predicts_never_block_or_tear_during_background_refit() {
     let q = targets(4, 33);
     let reference = live.snapshot().predict(&q, &rt).unwrap().values;
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let readers: Vec<_> = (0..3)
-        .map(|_| {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let stop = Arc::new(AtomicBool::new(false));
+    let served: Arc<Vec<AtomicUsize>> = Arc::new((0..3).map(|_| AtomicUsize::new(0)).collect());
+    let readers: Vec<_> = (0..served.len())
+        .map(|id| {
             let live = live.clone();
             let q = q.clone();
             let stop = stop.clone();
+            let served = served.clone();
             std::thread::spawn(move || {
                 let rt = Runtime::new(1);
-                let mut served = 0usize;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                // `stop` is read after the predict: a reader first scheduled
+                // late still serves one.
+                loop {
                     let p = live
                         .snapshot()
                         .predict(&q, &rt)
                         .expect("predict during refit");
                     assert!(p.values.iter().all(|v| v.is_finite()));
-                    served += 1;
+                    served[id].fetch_add(1, Ordering::Relaxed);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-                served
             })
         })
         .collect();
+    // Returns once every reader has completed one more predict than it had
+    // when called, so the refits below provably overlap running readers.
+    let every_reader_serves_once_more = || {
+        let seen: Vec<usize> = served.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+        while served
+            .iter()
+            .zip(&seen)
+            .any(|(s, was)| s.load(Ordering::Relaxed) == *was)
+        {
+            std::thread::yield_now();
+        }
+    };
 
     // Interleave forced refits and incremental updates under the readers.
+    every_reader_serves_once_more();
     for i in 0..4 {
         let (pts, vals) = fresh_points(2, 200 + i);
         live.observe(&pts, &vals, &rt).unwrap();
         live.force_refit();
     }
     live.wait_refit_idle();
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    every_reader_serves_once_more();
+    stop.store(true, Ordering::Relaxed);
     for r in readers {
-        assert!(r.join().unwrap() > 0, "readers must make progress");
+        r.join().expect("reader panicked");
     }
 
     // All four updates survived every refit (none lost to a swap race).

@@ -46,43 +46,60 @@ const RETRY_AFTER_NO_REPLICAS: u64 = 1;
 /// How often a blocked handler wakes to check for shutdown.
 const READ_TICK: Duration = Duration::from_millis(250);
 
-/// Router-side counters, all monotone over the router's lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Client connections accepted.
-    pub connections_accepted: u64,
-    /// Requests answered 2xx (predict relays and local endpoints alike).
-    pub requests_ok: u64,
-    /// Requests answered with any non-2xx status.
-    pub requests_error: u64,
-    /// Predict requests relayed to a backend (one per answered predict,
-    /// however many attempts it took).
-    pub forwards: u64,
-    /// Attempts abandoned for the next replica after a connect/transport
-    /// failure — each one also demoted the failing node to suspect.
-    pub failovers: u64,
-    /// `unknown_model` answers that sent the router on to another replica.
-    pub misses_retried: u64,
-    /// Placement-epoch changes observed (pins, topology edits).
-    pub rebalances: u64,
-    /// Stale pooled connections transparently redialed by [`WireClient`]s.
-    ///
-    /// [`WireClient`]: exa_wire::WireClient
-    pub reconnects: u64,
-    /// Node demotions to suspect, summed across the fleet.
-    pub demotions: u64,
-    /// Observe batches fanned to a full replica set with every replica
-    /// succeeding (answered `200`).
-    pub observes_relayed: u64,
-    /// Observe fan-outs where some — not all — replicas succeeded
-    /// (answered with the `207` partial report).
-    pub observe_partial: u64,
-    /// Replicas marked stale after missing an observe (each will be
-    /// evicted before its next relayed predict, forcing a refetch).
-    pub stale_marks: u64,
-    /// Evictions issued to un-stale a replica before relaying a predict
-    /// to it.
-    pub stale_evictions: u64,
+exa_telemetry::stats_struct! {
+    /// A point-in-time snapshot of the router's counters — the `router`
+    /// object of `GET /v1/fleet/stats` and `exa_fleet_*` in `GET /metrics`,
+    /// both rendered from [`RouterStats::STATS`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct RouterStats {
+        /// Client connections accepted by the router.
+        Counter connections_accepted: u64,
+        /// Requests answered 2xx by the router.
+        /// (Predict relays and local endpoints alike.)
+        Counter requests_ok: u64,
+        /// Requests answered non-2xx by the router.
+        Counter requests_error: u64,
+        /// Predicts relayed to a backend (one per answered predict).
+        /// However many attempts it took.
+        Counter forwards: u64,
+        /// Attempts abandoned for the next replica after a transport failure.
+        /// Each one also demoted the failing node to suspect.
+        Counter failovers: u64,
+        /// unknown_model answers that sent the router to another replica.
+        Counter misses_retried: u64,
+        /// Placement-epoch changes observed.
+        /// (Pins, topology edits.)
+        Counter rebalances: u64,
+        /// Stale pooled connections transparently redialed.
+        /// (By the pooled [`WireClient`](exa_wire::WireClient)s.)
+        Counter reconnects: u64,
+        /// Node demotions to suspect, summed across the fleet.
+        Counter demotions: u64,
+        /// Observe batches applied by every replica of their model.
+        /// (Answered `200`.)
+        Counter observes_relayed: u64,
+        /// Observe fan-outs answered with the 207 partial report.
+        /// Some — not all — replicas succeeded.
+        Counter observe_partial: u64,
+        /// Replicas marked stale after missing an observe fan-out.
+        /// Each will be evicted before its next relayed predict, forcing a
+        /// refetch.
+        Counter stale_marks: u64,
+        /// Evictions issued to un-stale a replica before a predict relay.
+        Counter stale_evictions: u64,
+        /// Seconds since this router started.
+        Gauge uptime_seconds: f64,
+        /// Render counter, monotone per process; a decrease means a restart.
+        /// Bumped by every `/v1/fleet/stats` and `/metrics` render.
+        Gauge stats_epoch: u64,
+        /// Median client-facing predict latency at the router.
+        /// (Route entry → reply ready, from the request histogram.)
+        Gauge request_p50_seconds: f64,
+        /// 95th-percentile client-facing predict latency at the router.
+        Gauge request_p95_seconds: f64,
+        /// 99th-percentile client-facing predict latency at the router.
+        Gauge request_p99_seconds: f64,
+    }
 }
 
 #[derive(Default)]
@@ -115,8 +132,6 @@ struct Shared {
     last_epoch: AtomicU64,
     /// When the router started — base of `uptime_seconds`.
     started: Instant,
-    /// Bumped on every `/v1/fleet/stats` and `/metrics` render; a decrease
-    /// between scrapes of one address signals a restart.
     stats_epoch: AtomicU64,
     /// Client-facing predict latency (route entry → reply ready).
     request_hist: Histogram,
@@ -127,6 +142,43 @@ struct Shared {
     /// that node, so the node refetches a fresh copy on its next miss
     /// instead of serving a factor that never saw the observation.
     stale: Mutex<HashSet<(NodeId, String)>>,
+}
+
+impl Shared {
+    fn stats(&self) -> RouterStats {
+        let c = &self.counters;
+        let request_latency = self.request_hist.snapshot();
+        RouterStats {
+            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
+            requests_ok: c.requests_ok.load(Ordering::Relaxed),
+            requests_error: c.requests_error.load(Ordering::Relaxed),
+            forwards: c.forwards.load(Ordering::Relaxed),
+            failovers: c.failovers.load(Ordering::Relaxed),
+            misses_retried: c.misses_retried.load(Ordering::Relaxed),
+            rebalances: c.rebalances.load(Ordering::Relaxed),
+            reconnects: c.reconnects.load(Ordering::Relaxed),
+            demotions: self.nodes.iter().map(NodePool::demotions).sum(),
+            observes_relayed: c.observes_relayed.load(Ordering::Relaxed),
+            observe_partial: c.observe_partial.load(Ordering::Relaxed),
+            stale_marks: c.stale_marks.load(Ordering::Relaxed),
+            stale_evictions: c.stale_evictions.load(Ordering::Relaxed),
+            uptime_seconds: self.started.elapsed().as_secs_f64(),
+            stats_epoch: self.stats_epoch.load(Ordering::Relaxed),
+            request_p50_seconds: request_latency.p50(),
+            request_p95_seconds: request_latency.p95(),
+            request_p99_seconds: request_latency.p99(),
+        }
+    }
+
+    /// The snapshot one `/v1/fleet/stats` or `/metrics` render reports:
+    /// each render takes the next `stats_epoch`.
+    fn render_snapshot(&self) -> RouterStats {
+        let stats_epoch = self.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        RouterStats {
+            stats_epoch,
+            ..self.stats()
+        }
+    }
 }
 
 /// One response about to be written to a client.
@@ -248,22 +300,7 @@ impl FleetRouter {
 
     /// Router counter snapshot.
     pub fn stats(&self) -> RouterStats {
-        let c = &self.shared.counters;
-        RouterStats {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            requests_ok: c.requests_ok.load(Ordering::Relaxed),
-            requests_error: c.requests_error.load(Ordering::Relaxed),
-            forwards: c.forwards.load(Ordering::Relaxed),
-            failovers: c.failovers.load(Ordering::Relaxed),
-            misses_retried: c.misses_retried.load(Ordering::Relaxed),
-            rebalances: c.rebalances.load(Ordering::Relaxed),
-            reconnects: c.reconnects.load(Ordering::Relaxed),
-            demotions: self.shared.nodes.iter().map(NodePool::demotions).sum(),
-            observes_relayed: c.observes_relayed.load(Ordering::Relaxed),
-            observe_partial: c.observe_partial.load(Ordering::Relaxed),
-            stale_marks: c.stale_marks.load(Ordering::Relaxed),
-            stale_evictions: c.stale_evictions.load(Ordering::Relaxed),
-        }
+        self.shared.stats()
     }
 
     /// Health of node `id` as the router currently sees it.
@@ -942,36 +979,7 @@ fn fleet_stats(shared: &Shared) -> Reply {
     w.end_object();
     w.key("router");
     w.begin_object();
-    let c = &shared.counters;
-    let request_latency = shared.request_hist.snapshot();
-    let epoch = shared.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-    w.field_uint(
-        "connections_accepted",
-        c.connections_accepted.load(Ordering::Relaxed),
-    );
-    w.field_uint("requests_ok", c.requests_ok.load(Ordering::Relaxed));
-    w.field_uint("requests_error", c.requests_error.load(Ordering::Relaxed));
-    w.field_uint("forwards", c.forwards.load(Ordering::Relaxed));
-    w.field_uint("failovers", c.failovers.load(Ordering::Relaxed));
-    w.field_uint("misses_retried", c.misses_retried.load(Ordering::Relaxed));
-    w.field_uint("rebalances", c.rebalances.load(Ordering::Relaxed));
-    w.field_uint("reconnects", c.reconnects.load(Ordering::Relaxed));
-    w.field_uint(
-        "demotions",
-        shared.nodes.iter().map(NodePool::demotions).sum(),
-    );
-    w.field_uint(
-        "observes_relayed",
-        c.observes_relayed.load(Ordering::Relaxed),
-    );
-    w.field_uint("observe_partial", c.observe_partial.load(Ordering::Relaxed));
-    w.field_uint("stale_marks", c.stale_marks.load(Ordering::Relaxed));
-    w.field_uint("stale_evictions", c.stale_evictions.load(Ordering::Relaxed));
-    w.field_num("uptime_seconds", shared.started.elapsed().as_secs_f64());
-    w.field_uint("stats_epoch", epoch);
-    w.field_num("request_p50_seconds", request_latency.p50());
-    w.field_num("request_p95_seconds", request_latency.p95());
-    w.field_num("request_p99_seconds", request_latency.p99());
+    w.stats(RouterStats::STATS, &shared.render_snapshot());
     w.end_object();
     w.key("nodes");
     w.begin_array();
@@ -998,106 +1006,14 @@ fn fleet_stats(shared: &Shared) -> Reply {
     Reply::ok_json(w.finish())
 }
 
-/// `GET /metrics` on the router: the Prometheus text exposition. Scalar
-/// names mirror the `router` object of `/v1/fleet/stats` exactly
-/// (`exa_fleet_forwards` ↔ `router.forwards`) so the CI drift check is a
-/// mechanical key comparison; `exa_fleet_node_up` and the histogram
-/// families have no JSON twin and are allowlisted there.
+/// `GET /metrics` on the router: the Prometheus text exposition. The scalar
+/// families are the table and snapshot the `router` object of
+/// `/v1/fleet/stats` is written from (`exa_fleet_forwards` ↔
+/// `router.forwards`); `exa_fleet_node_up` and the histogram families have
+/// no JSON twin.
 fn metrics(shared: &Shared) -> Reply {
-    let c = &shared.counters;
-    let epoch = shared.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-    let request_latency = shared.request_hist.snapshot();
     let mut p = PromText::new();
-    p.counter(
-        "exa_fleet_connections_accepted",
-        "Client connections accepted by the router.",
-        c.connections_accepted.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_requests_ok",
-        "Requests answered 2xx by the router.",
-        c.requests_ok.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_requests_error",
-        "Requests answered non-2xx by the router.",
-        c.requests_error.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_forwards",
-        "Predicts relayed to a backend (one per answered predict).",
-        c.forwards.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_failovers",
-        "Attempts abandoned for the next replica after a transport failure.",
-        c.failovers.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_misses_retried",
-        "unknown_model answers that sent the router to another replica.",
-        c.misses_retried.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_rebalances",
-        "Placement-epoch changes observed.",
-        c.rebalances.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_reconnects",
-        "Stale pooled connections transparently redialed.",
-        c.reconnects.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_demotions",
-        "Node demotions to suspect, summed across the fleet.",
-        shared.nodes.iter().map(NodePool::demotions).sum(),
-    );
-    p.counter(
-        "exa_fleet_observes_relayed",
-        "Observe batches applied by every replica of their model.",
-        c.observes_relayed.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_observe_partial",
-        "Observe fan-outs answered with the 207 partial report.",
-        c.observe_partial.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_stale_marks",
-        "Replicas marked stale after missing an observe fan-out.",
-        c.stale_marks.load(Ordering::Relaxed),
-    );
-    p.counter(
-        "exa_fleet_stale_evictions",
-        "Evictions issued to un-stale a replica before a predict relay.",
-        c.stale_evictions.load(Ordering::Relaxed),
-    );
-    p.gauge(
-        "exa_fleet_uptime_seconds",
-        "Seconds since this router started.",
-        shared.started.elapsed().as_secs_f64(),
-    );
-    p.gauge(
-        "exa_fleet_stats_epoch",
-        "Render counter, monotone per process; a decrease means a restart.",
-        epoch as f64,
-    );
-    p.gauge(
-        "exa_fleet_request_p50_seconds",
-        "Median client-facing predict latency at the router.",
-        request_latency.p50(),
-    );
-    p.gauge(
-        "exa_fleet_request_p95_seconds",
-        "95th-percentile client-facing predict latency at the router.",
-        request_latency.p95(),
-    );
-    p.gauge(
-        "exa_fleet_request_p99_seconds",
-        "99th-percentile client-facing predict latency at the router.",
-        request_latency.p99(),
-    );
+    p.stats("fleet", RouterStats::STATS, &shared.render_snapshot());
     let ups: Vec<(&str, f64)> = shared
         .nodes
         .iter()
@@ -1121,7 +1037,7 @@ fn metrics(shared: &Shared) -> Reply {
     p.histogram(
         "exa_fleet_request_seconds",
         "Client-facing predict latency at the router.",
-        &request_latency,
+        &shared.request_hist.snapshot(),
     );
     p.histogram(
         "exa_fleet_relay_seconds",

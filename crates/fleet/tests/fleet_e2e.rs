@@ -481,3 +481,41 @@ fn router_minted_trace_is_joinable_in_the_node_slow_ring() {
         node.shutdown();
     }
 }
+
+/// The "same documents" pin, router side: the key sequence of the `router`
+/// object of `/v1/fleet/stats` and the `# HELP` / `# TYPE` lines of the
+/// router's `/metrics` are those recorded from the hand-written writers
+/// (`tests/golden/`, taken at the commit before the stat table).
+#[test]
+fn router_stats_and_metrics_match_the_recorded_goldens() {
+    let catalog = catalog(&["alpha"]);
+    let node = start_node(&catalog, &["alpha"], false);
+    let router = fleet_of(&[&node], FleetConfig::default());
+    let mut client = WireClient::connect(router.local_addr()).unwrap();
+
+    let doc = client.get_json("/v1/fleet/stats").unwrap();
+    let Some(exa_wire::json::Json::Obj(fields)) = doc.get("router") else {
+        panic!("/v1/fleet/stats has no router object");
+    };
+    let keys: String = fields
+        .iter()
+        .map(|(key, _)| format!("router.{key}\n"))
+        .collect();
+    assert_eq!(keys, include_str!("golden/router_keys.txt"));
+
+    let resp = client
+        .request_raw("GET", "/metrics", "application/json", "*/*", b"")
+        .unwrap();
+    let text = String::from_utf8(resp.body).unwrap();
+    // One TYPE line per family is part of the grammar, so this also proves
+    // every metric name in the exposition is unique.
+    exa_telemetry::validate_exposition(&text).expect("router metrics grammar");
+    let preamble: Vec<&str> = text.lines().filter(|l| l.starts_with("# ")).collect();
+    let expected: Vec<&str> = include_str!("golden/metrics_preamble.txt")
+        .lines()
+        .collect();
+    assert_eq!(preamble, expected);
+
+    router.shutdown();
+    node.shutdown();
+}

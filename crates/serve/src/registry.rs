@@ -38,31 +38,36 @@ pub struct ModelInfo {
     pub factor_bytes: usize,
 }
 
-/// A consistent snapshot of a [`ModelRegistry`]'s state and lifetime
-/// counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Models currently resident.
-    pub resident_models: usize,
-    /// Total factor bytes currently resident.
-    pub bytes_in_use: usize,
-    /// The configured byte budget, if any.
-    pub byte_budget: Option<usize>,
-    /// Lifetime [`ModelRegistry::insert`] calls.
-    pub insertions: u64,
-    /// Lifetime models evicted by the byte budget (LRU evictions only;
-    /// explicit [`ModelRegistry::evict`] calls are not counted).
-    pub evictions: u64,
-    /// Lifetime [`ModelRegistry::get`] calls that found their model.
-    pub hits: u64,
-    /// Lifetime [`ModelRegistry::get`] calls that missed.
-    pub misses: u64,
-    /// Lifetime models materialized by the load-on-miss hook
-    /// ([`ModelRegistry::get_or_load`]).
-    pub loads: u64,
-    /// Lifetime [`ModelRegistry::reaccount`] calls (byte re-checks after a
-    /// live model's factor grew or shrank).
-    pub reaccounts: u64,
+exa_telemetry::stats_struct! {
+    /// A consistent snapshot of a [`ModelRegistry`]'s state and lifetime
+    /// counters — the `registry` object of `GET /v1/stats`, the counter
+    /// block of `GET /v1/models` and `exa_registry_*` in `GET /metrics`.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RegistryStats {
+        /// Models currently resident in the registry.
+        Gauge resident_models: usize,
+        /// Factor bytes currently resident in the registry.
+        Gauge bytes_in_use: usize,
+        /// Lifetime registry insertions.
+        /// ([`ModelRegistry::insert`] calls.)
+        Counter insertions: u64,
+        /// Lifetime LRU evictions by the byte budget.
+        /// (Explicit [`ModelRegistry::evict`] calls are not counted.)
+        Counter evictions: u64,
+        /// Lifetime registry lookups that hit.
+        Counter hits: u64,
+        /// Lifetime registry lookups that missed.
+        Counter misses: u64,
+        /// Lifetime models materialized by the load-on-miss hook.
+        /// ([`ModelRegistry::get_or_load`].)
+        Counter loads: u64,
+        /// Byte-ledger recomputations after a model grew or shrank in place.
+        /// ([`ModelRegistry::reaccount`] calls.)
+        Counter reaccounts: u64,
+        ;
+        /// The configured byte budget, if any.
+        pub byte_budget: Option<usize>,
+    }
 }
 
 /// A named collection of fitted sessions with LRU eviction under an

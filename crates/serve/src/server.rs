@@ -178,35 +178,6 @@ impl Counters {
         self.latency_ns_max.fetch_max(ns, Ordering::Relaxed);
         self.latency_hist.record_seconds(seconds);
     }
-
-    fn snapshot(&self) -> ServerStats {
-        let latency = self.latency_hist.snapshot();
-        let observe = self.observe_hist.snapshot();
-        ServerStats {
-            requests_submitted: self.submitted.load(Ordering::Relaxed),
-            requests_served: self.served.load(Ordering::Relaxed),
-            requests_failed: self.failed.load(Ordering::Relaxed),
-            batches_executed: self.batches.load(Ordering::Relaxed),
-            requests_coalesced: self.coalesced.load(Ordering::Relaxed),
-            points_served: self.points.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            total_latency_seconds: self.latency_ns_total.load(Ordering::Relaxed) as f64 * 1e-9,
-            max_latency_seconds: self.latency_ns_max.load(Ordering::Relaxed) as f64 * 1e-9,
-            latency_p50_seconds: latency.p50(),
-            latency_p95_seconds: latency.p95(),
-            latency_p99_seconds: latency.p99(),
-            latency_p999_seconds: latency.p999(),
-            factorizations_during_serving: self.worker_potrf.load(Ordering::Relaxed),
-            observes_applied: self.observes.load(Ordering::Relaxed),
-            observe_points_ingested: self.observe_points.load(Ordering::Relaxed),
-            observes_failed: self.observes_failed.load(Ordering::Relaxed),
-            observe_sync_refits: self.observe_sync_refits.load(Ordering::Relaxed),
-            observe_refits_triggered: self.observe_refits_triggered.load(Ordering::Relaxed),
-            observe_p50_seconds: observe.p50(),
-            observe_p95_seconds: observe.p95(),
-            observe_p99_seconds: observe.p99(),
-        }
-    }
 }
 
 struct Shared<K: ParamCovariance> {
@@ -221,6 +192,65 @@ struct Shared<K: ParamCovariance> {
     /// workers instead, so concurrent callers still coalesce with each
     /// other and queue backpressure still engages under load.
     inline_active: AtomicBool,
+}
+
+impl<K: ParamCovariance> Shared<K> {
+    fn queue_depth(&self) -> usize {
+        self.queue.lock().expect("queue lock").items.len()
+    }
+
+    /// Fills every [`ServerStats`] field: the counters, the histogram
+    /// percentiles, the live queue depth and the registry's ingest drift
+    /// aggregated over resident models.
+    fn stats(&self) -> ServerStats {
+        let c = &self.counters;
+        let latency = c.latency_hist.snapshot();
+        let observe = c.observe_hist.snapshot();
+        let drift = self.registry.drift_totals();
+        let requests_served = c.served.load(Ordering::Relaxed);
+        let requests_failed = c.failed.load(Ordering::Relaxed);
+        let total_latency_seconds = c.latency_ns_total.load(Ordering::Relaxed) as f64 * 1e-9;
+        let done = requests_served + requests_failed;
+        ServerStats {
+            requests_submitted: c.submitted.load(Ordering::Relaxed),
+            requests_served,
+            requests_failed,
+            batches_executed: c.batches.load(Ordering::Relaxed),
+            requests_coalesced: c.coalesced.load(Ordering::Relaxed),
+            points_served: c.points.load(Ordering::Relaxed),
+            max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
+            queue_depth: self.queue_depth() as u64,
+            total_latency_seconds,
+            max_latency_seconds: c.latency_ns_max.load(Ordering::Relaxed) as f64 * 1e-9,
+            mean_latency_seconds: if done == 0 {
+                0.0
+            } else {
+                total_latency_seconds / done as f64
+            },
+            latency_p50_seconds: latency.p50(),
+            latency_p95_seconds: latency.p95(),
+            latency_p99_seconds: latency.p99(),
+            latency_p999_seconds: latency.p999(),
+            factorizations_during_serving: c.worker_potrf.load(Ordering::Relaxed),
+            observes_applied: c.observes.load(Ordering::Relaxed),
+            observe_points_ingested: c.observe_points.load(Ordering::Relaxed),
+            observes_failed: c.observes_failed.load(Ordering::Relaxed),
+            observe_sync_refits: c.observe_sync_refits.load(Ordering::Relaxed),
+            observe_refits_triggered: c.observe_refits_triggered.load(Ordering::Relaxed),
+            observe_p50_seconds: observe.p50(),
+            observe_p95_seconds: observe.p95(),
+            observe_p99_seconds: observe.p99(),
+            ingest_updates_since_refactor: drift.updates_since_refactor,
+            ingest_updates_total: drift.updates_total,
+            ingest_points_ingested: drift.points_ingested,
+            ingest_points_expired: drift.points_expired,
+            ingest_refits_triggered: drift.refits_triggered,
+            ingest_refits_completed: drift.refits_completed,
+            ingest_replayed_updates: drift.replayed_updates,
+            ingest_condition_growth: drift.condition_growth,
+            ingest_loglik_drift: drift.loglik_drift,
+        }
+    }
 }
 
 /// Cloneable submission handle to a running [`PredictionServer`].
@@ -494,21 +524,15 @@ impl<K: ParamCovariance> ServerHandle<K> {
         self.shared.counters.observe_hist.snapshot()
     }
 
-    /// Aggregated streaming-ingestion drift across every resident model
-    /// (counters summed, gauges maxed) — the `/v1/stats` drift section.
-    pub fn drift_totals(&self) -> exa_geostat::DriftStats {
-        self.shared.registry.drift_totals()
-    }
-
     /// Requests currently queued (submitted, not yet claimed by a worker) —
     /// the live companion to [`ServerStats::max_queue_depth`].
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().expect("queue lock").items.len()
+        self.shared.queue_depth()
     }
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.shared.counters.snapshot()
+        self.shared.stats()
     }
 
     /// Snapshot of the end-to-end latency histogram (the distribution the
@@ -665,7 +689,7 @@ impl<K: ParamCovariance> PredictionServer<K> {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.shared.counters.snapshot()
+        self.shared.stats()
     }
 
     /// Graceful shutdown: stops intake, serves everything already queued,
@@ -676,7 +700,7 @@ impl<K: ParamCovariance> PredictionServer<K> {
             worker.join().expect("serve worker panicked");
         }
         self.wait_for_inline();
-        self.shared.counters.snapshot()
+        self.shared.stats()
     }
 
     fn begin_shutdown(&self) {

@@ -104,7 +104,7 @@ fn concurrent_clients_multi_model_traffic_with_zero_potrf() {
         "serving must never re-run potrf"
     );
     assert!(stats.max_queue_depth >= 1);
-    assert!(stats.mean_latency_seconds() >= 0.0);
+    assert!(stats.mean_latency_seconds >= 0.0);
 }
 
 fn client_target(c: u64, r: u64) -> Location {

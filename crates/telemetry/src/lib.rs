@@ -22,9 +22,12 @@
 //!   followed across the router, the wire front-end and the serve queue.
 //! * [`SlowRing`] — a fixed-size ring of the slowest recent requests with
 //!   their per-stage breakdowns, served by `GET /v1/debug/slow`.
+//! * [`stats_struct!`] — one declaration per scalar stat: a snapshot struct
+//!   and its [`Stat`] table (key, kind, help, reader) from one field list,
+//!   from which the JSON stats documents and `/metrics` are both rendered.
 //! * [`PromText`] — a Prometheus text-format (version 0.0.4) renderer for
-//!   counters, gauges and cumulative histogram series, backing the
-//!   `GET /metrics` endpoints on both `WireServer` and `FleetRouter`.
+//!   stat tables, labelled gauges and cumulative histogram series, backing
+//!   the `GET /metrics` endpoints on both `WireServer` and `FleetRouter`.
 //!
 //! # Overhead kill-switch
 //!
@@ -53,10 +56,12 @@ pub mod hist;
 pub mod prom;
 mod quantile;
 pub mod slow;
+mod stat;
 pub mod trace;
 
 pub use hist::{enabled, set_enabled, Histogram, HistogramSnapshot, MAX_RELATIVE_ERROR};
 pub use prom::{escape_label, validate_exposition, PromText};
 pub use quantile::{quantile, quantile_sorted};
 pub use slow::{SlowEntry, SlowRing, DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_WINDOW};
+pub use stat::{doc_text, Kind, Stat, Value};
 pub use trace::{TraceId, TRACE_HEADER};

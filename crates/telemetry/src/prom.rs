@@ -1,20 +1,22 @@
 //! Prometheus text-format (version 0.0.4) rendering and validation.
 //!
 //! [`PromText`] builds an exposition document: `# HELP`/`# TYPE` preamble
-//! per family, counter/gauge samples, and cumulative histogram series
-//! rendered from [`HistogramSnapshot`]s onto a fixed `le` ladder in
+//! per family, one counter/gauge sample per entry of a [`Stat`] table, and
+//! cumulative histogram series rendered from [`HistogramSnapshot`]s onto a
+//! fixed `le` ladder in
 //! seconds (1 µs … 10 s, then `+Inf`). The fine log-linear buckets are
 //! folded onto the ladder conservatively: a fine bucket counts toward the
 //! first rung that contains its entire range, so every `le` count is a
 //! true lower bound on "samples ≤ le" and the series is monotone by
 //! construction (`+Inf` is exact).
 //!
-//! [`validate_exposition`] is the same grammar check the tests and the CI
-//! `metrics-drift` job run against live `/metrics` scrapes: HELP/TYPE
-//! discipline, metric/label name syntax, label escaping, value syntax and
-//! monotone cumulative buckets that agree with `_count`.
+//! [`validate_exposition`] is the grammar check the e2e tests run against
+//! live `/metrics` scrapes: HELP/TYPE discipline (one TYPE per family, so
+//! names are unique), metric/label name syntax, label escaping, value syntax
+//! and monotone cumulative buckets that agree with `_count`.
 
 use crate::hist::HistogramSnapshot;
+use crate::stat::Stat;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -81,8 +83,8 @@ fn valid_name(name: &str) -> bool {
 }
 
 /// An exposition document under construction. Families are rendered in
-/// call order; each `counter`/`gauge`/`histogram*` call emits the family's
-/// HELP/TYPE preamble and its samples.
+/// call order; each `stats`/`gauge_series`/`histogram*` call emits its
+/// families' HELP/TYPE preambles and samples.
 #[derive(Default)]
 pub struct PromText {
     out: String,
@@ -99,16 +101,15 @@ impl PromText {
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
     }
 
-    /// A single-sample counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.preamble(name, help, "counter");
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// A single-sample gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        self.preamble(name, help, "gauge");
-        let _ = writeln!(self.out, "{name} {value}");
+    /// One single-sample family per stat of `table`, named
+    /// `exa_<section>_<stat name>` and read from `snap` — the same table
+    /// and snapshot the section's JSON object is written from.
+    pub fn stats<S>(&mut self, section: &str, table: &[Stat<S>], snap: &S) {
+        for stat in table {
+            let name = format!("exa_{section}_{}", stat.name);
+            self.preamble(&name, stat.help, stat.kind.as_str());
+            let _ = writeln!(self.out, "{name} {}", (stat.read)(snap));
+        }
     }
 
     /// A gauge family with one sample per `(label_value, value)` pair.
@@ -408,9 +409,21 @@ mod tests {
         hist.record_ns(30_000); // 25µs < v ≤ 50µs rung
         hist.record_ns(30_000);
         hist.record_ns(7_000_000_000); // 5s < v ≤ 10s rung
+        crate::stats_struct! {
+            /// What the demo section reports.
+            pub struct DemoStats {
+                /// Requests answered 200.
+                Counter requests_ok: u64,
+                /// Seconds since start.
+                Gauge uptime_seconds: f64,
+            }
+        }
+        let demo = DemoStats {
+            requests_ok: 17,
+            uptime_seconds: 1.5,
+        };
         let mut prom = PromText::new();
-        prom.counter("exa_demo_requests_ok", "Requests answered 200.", 17);
-        prom.gauge("exa_demo_uptime_seconds", "Seconds since start.", 1.5);
+        prom.stats("demo", DemoStats::STATS, &demo);
         prom.gauge_series(
             "exa_demo_node_up",
             "Node health (1 up, 0 suspect).",

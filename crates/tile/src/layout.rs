@@ -188,35 +188,6 @@ impl TileMatrix {
         a
     }
 
-    /// Builds a rectangular cross-covariance block `Σ[rows0.., cols0..]`
-    /// (used for Σ₁₂ in the prediction path).
-    pub fn from_kernel_rect<K: CovarianceKernel>(
-        kernel: &K,
-        row_off: usize,
-        m: usize,
-        col_off: usize,
-        n: usize,
-        nb: usize,
-    ) -> Self {
-        let mut a = Self::zeros(m, n, nb);
-        for j in 0..a.nt {
-            for i in 0..a.mt {
-                let rows = a.tile_rows(i);
-                let cols = a.tile_cols(j);
-                let t = a.tile_mut(i, j);
-                kernel.fill_tile(
-                    row_off + i * nb,
-                    rows,
-                    col_off + j * nb,
-                    cols,
-                    &mut t.data,
-                    rows,
-                );
-            }
-        }
-        a
-    }
-
     /// Converts a dense column-major matrix into tile layout.
     pub fn from_dense(mat: &Mat, nb: usize) -> Self {
         let (m, n) = (mat.nrows(), mat.ncols());
@@ -340,18 +311,6 @@ mod tests {
         for i in 0..15 {
             for j in 0..15 {
                 assert_eq!(d[(i, j)], d[(j, i)]);
-            }
-        }
-    }
-
-    #[test]
-    fn rect_block_matches_kernel() {
-        let k = kernel(30);
-        let b = TileMatrix::from_kernel_rect(&k, 5, 10, 17, 8, 4);
-        let d = b.to_dense();
-        for j in 0..8 {
-            for i in 0..10 {
-                assert_eq!(d[(i, j)], k.entry(5 + i, 17 + j));
             }
         }
     }

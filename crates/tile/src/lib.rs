@@ -14,8 +14,8 @@
 //!   ("Full-tile"); [`block_potrf`] — the fork-join LAPACK-style blocked
 //!   Cholesky ("Full-block" baseline of Figure 3).
 //! * [`tile_trsm`]/[`tile_potrs`] — triangular/SPD solves on block RHS.
-//! * [`tile_gemm`], [`tile_trmm_lower`], [`tile_symm_lower`] — products for
-//!   prediction (Eq. 4) and exact field simulation (`Z = L·w`).
+//! * [`tile_trmm_lower`], [`tile_symm_lower`] — products for exact field
+//!   simulation (`Z = L·w`) and residual checks.
 //! * [`tile_logdet`] — `ln|Σ|` from the factor's diagonal.
 
 pub mod block_chol;
@@ -28,6 +28,6 @@ pub mod view;
 pub use block_chol::{block_potrf, block_potrf_with_panel};
 pub use dense_chol::{tile_logdet, tile_potrf};
 pub use layout::{Tile, TileMatrix};
-pub use ops::{tile_gemm, tile_symm_lower, tile_trmm_lower};
+pub use ops::{tile_symm_lower, tile_trmm_lower};
 pub use solve::{tile_potrs, tile_trsm, trsm_block, TriangularSide};
 pub use view::{rhs_views, FactorRef, RhsView, TileView};

@@ -1,7 +1,5 @@
-//! Dense tile matrix products used by simulation and prediction.
+//! Dense tile matrix products used by simulation.
 //!
-//! * [`tile_gemm`] — `C = A · B` for a rectangular tile matrix `A` and a
-//!   dense RHS (the `Σ₁₂ · (Σ₂₂⁻¹ Z₂)` step of Eq. 4).
 //! * [`tile_trmm_lower`] — `Y = L · X` with the lower-triangular tile factor
 //!   (exact Gaussian field simulation draws `Z = L · w`).
 //! * [`tile_symm_lower`] — `Y = A · X` for the symmetric-lower storage, used
@@ -10,54 +8,6 @@
 use crate::layout::TileMatrix;
 use exa_linalg::{dgemm, Mat, Trans};
 use exa_runtime::parallel_for;
-
-/// `C = A · B` where `A` is a (rectangular, fully populated) tile matrix and
-/// `B` is dense column-major. Parallel over tile rows of `A`.
-pub fn tile_gemm(a: &TileMatrix, b: &Mat, num_workers: usize) -> Mat {
-    assert_eq!(a.n, b.nrows(), "inner dimension mismatch");
-    let nrhs = b.ncols();
-    let mut c = Mat::zeros(a.m, nrhs);
-    if a.m == 0 || nrhs == 0 {
-        return c;
-    }
-    let ldc = c.ld();
-    let ldb = b.ld();
-    struct RawPtr(*mut f64);
-    // SAFETY: shared only so each worker can carve out its own disjoint row
-    // block of C below; no two chunks ever touch the same rows.
-    unsafe impl Sync for RawPtr {}
-    let cptr = RawPtr(c.as_mut_slice().as_mut_ptr());
-    let cref = &cptr;
-    parallel_for(num_workers, a.mt, 1, move |t0, t1| {
-        for ti in t0..t1 {
-            let rows = a.tile_rows(ti);
-            // SAFETY: tile-row `ti` owns rows [ti·nb, ti·nb+rows) of C, and
-            // tile rows are disjoint across parallel_for chunks.
-            let cblock = unsafe {
-                std::slice::from_raw_parts_mut(cref.0.add(ti * a.nb), ldc * (nrhs - 1) + rows)
-            };
-            for tj in 0..a.nt {
-                let t = a.tile(ti, tj);
-                dgemm(
-                    Trans::No,
-                    Trans::No,
-                    rows,
-                    nrhs,
-                    t.cols,
-                    1.0,
-                    &t.data,
-                    t.rows,
-                    &b.as_slice()[tj * a.nb..],
-                    ldb,
-                    1.0,
-                    cblock,
-                    ldc,
-                );
-            }
-        }
-    });
-    c
-}
 
 /// `Y = L · X` with `L` the lower-triangular tile factor (strictly the stored
 /// lower tiles; diagonal tiles contribute their lower triangle only).
@@ -72,14 +22,16 @@ pub fn tile_trmm_lower(l: &TileMatrix, x: &Mat, num_workers: usize) -> Mat {
     let ldy = y.ld();
     let ldx = x.ld();
     struct RawPtr(*mut f64);
-    // SAFETY: workers write disjoint row blocks of Y, as in `tile_gemm`.
+    // SAFETY: shared only so each worker can carve out its own disjoint row
+    // block of Y below; no two chunks ever touch the same rows.
     unsafe impl Sync for RawPtr {}
     let yptr = RawPtr(y.as_mut_slice().as_mut_ptr());
     let yref = &yptr;
     parallel_for(num_workers, l.mt, 1, move |t0, t1| {
         for ti in t0..t1 {
             let rows = l.tile_rows(ti);
-            // SAFETY: disjoint row blocks, as in `tile_gemm`.
+            // SAFETY: tile-row `ti` owns rows [ti·nb, ti·nb+rows) of Y, and
+            // tile rows are disjoint across parallel_for chunks.
             let yblock = unsafe {
                 std::slice::from_raw_parts_mut(yref.0.add(ti * l.nb), ldy * (nrhs - 1) + rows)
             };
@@ -134,14 +86,14 @@ pub fn tile_symm_lower(a: &TileMatrix, x: &Mat, num_workers: usize) -> Mat {
     let ldy = y.ld();
     let ldx = x.ld();
     struct RawPtr(*mut f64);
-    // SAFETY: workers write disjoint row blocks of Y, as in `tile_gemm`.
+    // SAFETY: workers write disjoint row blocks of Y, as in `tile_trmm_lower`.
     unsafe impl Sync for RawPtr {}
     let yptr = RawPtr(y.as_mut_slice().as_mut_ptr());
     let yref = &yptr;
     parallel_for(num_workers, a.mt, 1, move |t0, t1| {
         for ti in t0..t1 {
             let rows = a.tile_rows(ti);
-            // SAFETY: disjoint row blocks, as in `tile_gemm`.
+            // SAFETY: disjoint row blocks, as in `tile_trmm_lower`.
             let yblock = unsafe {
                 std::slice::from_raw_parts_mut(yref.0.add(ti * a.nb), ldy * (nrhs - 1) + rows)
             };
@@ -202,19 +154,6 @@ mod tests {
     use exa_util::Rng;
 
     #[test]
-    fn gemm_matches_dense() {
-        let mut rng = Rng::seed_from_u64(1);
-        let a_dense = Mat::gaussian(23, 17, &mut rng);
-        let b = Mat::gaussian(17, 5, &mut rng);
-        let a = TileMatrix::from_dense(&a_dense, 6);
-        let c = tile_gemm(&a, &b, 4);
-        let c_ref = a_dense.matmul(&b);
-        for (x, y) in c.as_slice().iter().zip(c_ref.as_slice()) {
-            assert!((x - y).abs() < 1e-12 * y.abs().max(1.0));
-        }
-    }
-
-    #[test]
     fn trmm_matches_explicit_triangular_product() {
         let mut rng = Rng::seed_from_u64(2);
         let n = 40;
@@ -253,24 +192,5 @@ mod tests {
         for (a, b) in y.as_slice().iter().zip(y_ref.as_slice()) {
             assert!((a - b).abs() < 1e-10 * b.abs().max(1.0), "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn worker_counts_agree() {
-        let mut rng = Rng::seed_from_u64(4);
-        let a_dense = Mat::gaussian(31, 29, &mut rng);
-        let b = Mat::gaussian(29, 2, &mut rng);
-        let a = TileMatrix::from_dense(&a_dense, 8);
-        let c1 = tile_gemm(&a, &b, 1);
-        let c4 = tile_gemm(&a, &b, 4);
-        assert_eq!(c1.as_slice(), c4.as_slice());
-    }
-
-    #[test]
-    fn empty_dimensions() {
-        let a = TileMatrix::zeros(5, 5, 2);
-        let x = Mat::zeros(5, 0);
-        let y = tile_gemm(&a, &x, 2);
-        assert_eq!(y.ncols(), 0);
     }
 }

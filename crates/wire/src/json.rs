@@ -18,6 +18,8 @@
 //! in-process `predict_batch` path. Non-finite values encode as `null`
 //! (JSON has no representation for them).
 
+use exa_telemetry::{Stat, Value};
+
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -492,6 +494,19 @@ impl JsonWriter {
     pub fn field_uint(&mut self, key: &str, value: u64) {
         self.key(key);
         self.uint(value);
+    }
+
+    /// One member per stat, in table order, read from `snap`: the JSON
+    /// rendering of a `stats_struct!` table (integers exact, floats
+    /// shortest-round-trip).
+    pub fn stats<'t, S: 't>(&mut self, table: impl IntoIterator<Item = &'t Stat<S>>, snap: &S) {
+        for stat in table {
+            self.key(stat.name);
+            match (stat.read)(snap) {
+                Value::Uint(v) => self.uint(v),
+                Value::Num(v) => self.number(v),
+            }
+        }
     }
 
     /// The finished document.

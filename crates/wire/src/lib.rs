@@ -127,12 +127,18 @@
 //! ```json
 //! {"models": [{"name": "soil", "factor_bytes": 524288}],
 //!  "resident_models": 1, "bytes_in_use": 524288, "byte_budget": null,
-//!  "insertions": 3, "evictions": 2, "hits": 41, "misses": 0}
+//!  "insertions": 3, "evictions": 2, "hits": 41, "misses": 0,
+//!  "loads": 0, "reaccounts": 0}
 //! ```
 //!
-//! **Stats response** — `{"wire": {...}, "serve": {...}}` mirroring
-//! [`WireStats`] and [`ServerStats`] field for field (plus the live
-//! `queue_depth` and derived `mean_latency_seconds`).
+//! **Stats response** — `{"wire": {...}, "serve": {...}, "registry": {...}}`,
+//! one member per field of [`WireStats`], [`ServerStats`] and
+//! [`RegistryStats`] in declaration order (`wire` leads with the reactor
+//! `backend` name). Those structs are where a stat is declared — key, kind
+//! and help text in one `exa_telemetry::stats_struct!` field — and `GET
+//! /metrics` walks the same tables (`exa_wire_*`, `exa_serve_*`,
+//! `exa_registry_*`), so the JSON and Prometheus surfaces agree by
+//! construction.
 //!
 //! **Errors** — every failure is a status code plus a structured body,
 //! never a silently dropped connection:
@@ -206,6 +212,7 @@
 //!
 //! [`ServerHandle`]: exa_serve::ServerHandle
 //! [`ServerStats`]: exa_serve::ServerStats
+//! [`RegistryStats`]: exa_serve::RegistryStats
 //! [`FittedModel::predict_batch`]: exa_geostat::FittedModel::predict_batch
 
 pub mod client;

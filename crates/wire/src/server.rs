@@ -49,10 +49,11 @@ use crate::reactor::{
 };
 use exa_covariance::{Location, ParamCovariance};
 use exa_serve::{
-    ModelRegistry, PredictionServer, ServeConfig, ServeError, ServedPrediction, ServerHandle,
+    ModelRegistry, PredictionServer, RegistryStats, ServeConfig, ServeError, ServedPrediction,
+    ServerHandle, ServerStats,
 };
 use exa_telemetry::{
-    Histogram, HistogramSnapshot, PromText, SlowEntry, SlowRing, TraceId, TRACE_HEADER,
+    Histogram, HistogramSnapshot, Kind, PromText, SlowEntry, SlowRing, TraceId, TRACE_HEADER,
 };
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
@@ -138,56 +139,45 @@ struct WireCounters {
     requests_dispatched: AtomicU64,
 }
 
-/// A point-in-time snapshot of a [`WireServer`]'s counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Connections accepted and admitted to the reactor.
-    pub connections_accepted: u64,
-    /// Connections refused with `503` at the [`WireConfig::max_connections`]
-    /// cap.
-    pub connections_refused: u64,
-    /// Requests answered `2xx`.
-    pub requests_ok: u64,
-    /// Requests answered `4xx`.
-    pub requests_client_error: u64,
-    /// Requests answered `5xx`.
-    pub requests_server_error: u64,
-    /// HTTP-level parse failures (bad preamble, oversized framing) that were
-    /// answered with an error status; a subset of `requests_client_error` /
-    /// `requests_server_error`.
-    pub malformed_requests: u64,
-    /// Clients that vanished (or stalled past the deadline) mid-request.
-    pub disconnects_mid_request: u64,
-    /// Handler panics contained by the per-request `catch_unwind` — the
-    /// wire-level companion of
-    /// [`ServerStats::factorizations_during_serving`]: robustness tests
-    /// assert it stays 0.
-    ///
-    /// [`ServerStats::factorizations_during_serving`]:
-    ///     exa_serve::ServerStats::factorizations_during_serving
-    pub panics_contained: u64,
-    /// Predict requests executed as a batch-of-one on the reactor thread
-    /// (the idle-queue fast path; see the module docs).
-    pub requests_inline: u64,
-    /// Predict requests handed to the serve worker pool via the
-    /// non-blocking submit + completion-callback path.
-    pub requests_dispatched: u64,
-}
-
-impl WireCounters {
-    fn snapshot(&self) -> WireStats {
-        WireStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            requests_ok: self.requests_ok.load(Ordering::Relaxed),
-            requests_client_error: self.requests_client_error.load(Ordering::Relaxed),
-            requests_server_error: self.requests_server_error.load(Ordering::Relaxed),
-            malformed_requests: self.malformed_requests.load(Ordering::Relaxed),
-            disconnects_mid_request: self.disconnects_mid_request.load(Ordering::Relaxed),
-            panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            requests_inline: self.requests_inline.load(Ordering::Relaxed),
-            requests_dispatched: self.requests_dispatched.load(Ordering::Relaxed),
-        }
+exa_telemetry::stats_struct! {
+    /// A point-in-time snapshot of a [`WireServer`]'s counters — the `wire`
+    /// object of `GET /v1/stats` and `exa_wire_*` in `GET /metrics`, both
+    /// rendered from [`WireStats::STATS`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct WireStats {
+        /// Connections accepted and admitted to the reactor.
+        Counter connections_accepted: u64,
+        /// Connections refused with 503 at the connection cap.
+        /// ([`WireConfig::max_connections`].)
+        Counter connections_refused: u64,
+        /// Requests answered 2xx.
+        Counter requests_ok: u64,
+        /// Requests answered 4xx.
+        Counter requests_client_error: u64,
+        /// Requests answered 5xx.
+        Counter requests_server_error: u64,
+        /// HTTP-level parse failures answered with an error status.
+        /// (Bad preamble, oversized framing; a subset of
+        /// `requests_client_error` / `requests_server_error`.)
+        Counter malformed_requests: u64,
+        /// Clients that vanished or stalled past the deadline mid-request.
+        Counter disconnects_mid_request: u64,
+        /// Handler panics contained by the per-request catch_unwind.
+        /// The wire-level companion of
+        /// [`ServerStats::factorizations_during_serving`]: robustness tests
+        /// assert it stays 0.
+        Counter panics_contained: u64,
+        /// Predicts run as a batch-of-one on the reactor thread.
+        /// (The idle-queue fast path; see the module docs.)
+        Counter requests_inline: u64,
+        /// Predicts handed to the serve worker pool.
+        /// (The non-blocking submit + completion-callback path.)
+        Counter requests_dispatched: u64,
+        /// Seconds since this wire server started.
+        Gauge uptime_seconds: f64,
+        /// Render counter, monotone per process; a decrease means a restart.
+        /// Bumped by every `/v1/stats` and `/metrics` render.
+        Gauge stats_epoch: u64,
     }
 }
 
@@ -202,9 +192,6 @@ struct Shared<K: ParamCovariance> {
     backend: &'static str,
     /// When this server started — the base of `uptime_seconds`.
     started: Instant,
-    /// Bumped on every `/v1/stats` and `/metrics` render. Monotone within
-    /// one process, so a *decrease* between two scrapes of the same
-    /// address tells the scraper the node restarted.
     stats_epoch: AtomicU64,
     /// Wire-side stage histograms for predict requests (the queue/solve
     /// stages live in the serve layer's own histograms).
@@ -214,6 +201,37 @@ struct Shared<K: ParamCovariance> {
     /// The slowest recent predicts, with per-stage breakdowns
     /// (`GET /v1/debug/slow`).
     slow: SlowRing,
+}
+
+impl<K: ParamCovariance> Shared<K> {
+    fn wire_stats(&self) -> WireStats {
+        let c = &self.counters;
+        WireStats {
+            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
+            connections_refused: c.connections_refused.load(Ordering::Relaxed),
+            requests_ok: c.requests_ok.load(Ordering::Relaxed),
+            requests_client_error: c.requests_client_error.load(Ordering::Relaxed),
+            requests_server_error: c.requests_server_error.load(Ordering::Relaxed),
+            malformed_requests: c.malformed_requests.load(Ordering::Relaxed),
+            disconnects_mid_request: c.disconnects_mid_request.load(Ordering::Relaxed),
+            panics_contained: c.panics_contained.load(Ordering::Relaxed),
+            requests_inline: c.requests_inline.load(Ordering::Relaxed),
+            requests_dispatched: c.requests_dispatched.load(Ordering::Relaxed),
+            uptime_seconds: self.started.elapsed().as_secs_f64(),
+            stats_epoch: self.stats_epoch.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The three section snapshots one `/v1/stats` or `/metrics` render
+    /// reports: each render takes the next `stats_epoch`.
+    fn render_snapshots(&self) -> (WireStats, ServerStats, RegistryStats) {
+        let stats_epoch = self.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let wire = WireStats {
+            stats_epoch,
+            ..self.wire_stats()
+        };
+        (wire, self.handle.stats(), self.registry.stats())
+    }
 }
 
 /// One routed response, ready to frame.
@@ -358,20 +376,20 @@ impl<K: ParamCovariance> WireServer<K> {
 
     /// Wire-level statistics snapshot.
     pub fn stats(&self) -> WireStats {
-        self.shared.counters.snapshot()
+        self.shared.wire_stats()
     }
 
     /// Statistics of the underlying prediction server.
-    pub fn serve_stats(&self) -> exa_serve::ServerStats {
+    pub fn serve_stats(&self) -> ServerStats {
         self.shared.handle.stats()
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests, join
     /// the reactor thread, then drain and join the prediction server.
     /// Returns the final wire and serving statistics.
-    pub fn shutdown(mut self) -> (WireStats, exa_serve::ServerStats) {
+    pub fn shutdown(mut self) -> (WireStats, ServerStats) {
         self.wind_down();
-        let wire = self.shared.counters.snapshot();
+        let wire = self.shared.wire_stats();
         let serve = self
             .prediction
             .take()
@@ -1157,6 +1175,7 @@ fn models<K: ParamCovariance>(shared: &Shared<K>) -> Response {
     // One lock acquisition: the entry list and the counters must describe
     // the same instant, or eviction observers see books that don't balance.
     let (entries, stats) = shared.registry.snapshot();
+    let of_kind = |kind: Kind| RegistryStats::STATS.iter().filter(move |s| s.kind == kind);
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("models");
@@ -1168,379 +1187,51 @@ fn models<K: ParamCovariance>(shared: &Shared<K>) -> Response {
         w.end_object();
     }
     w.end_array();
-    w.field_uint("resident_models", stats.resident_models as u64);
-    w.field_uint("bytes_in_use", stats.bytes_in_use as u64);
+    // Residency, then the budget it is held to, then the lifetime counters.
+    w.stats(of_kind(Kind::Gauge), &stats);
     w.key("byte_budget");
     match stats.byte_budget {
         Some(budget) => w.uint(budget as u64),
         None => w.null(),
     }
-    w.field_uint("insertions", stats.insertions);
-    w.field_uint("evictions", stats.evictions);
-    w.field_uint("hits", stats.hits);
-    w.field_uint("misses", stats.misses);
+    w.stats(of_kind(Kind::Counter), &stats);
     w.end_object();
     Response::ok(w.finish())
 }
 
+/// `GET /v1/stats`: one object per section, each written from its
+/// snapshot's `STATS` table.
 fn stats<K: ParamCovariance>(shared: &Shared<K>) -> Response {
-    let wire = shared.counters.snapshot();
-    let serve = shared.handle.stats();
-    let registry = shared.registry.stats();
-    let epoch = shared.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+    let (wire, serve, registry) = shared.render_snapshots();
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("wire");
     w.begin_object();
     w.field_str("backend", shared.backend);
-    w.field_uint("connections_accepted", wire.connections_accepted);
-    w.field_uint("connections_refused", wire.connections_refused);
-    w.field_uint("requests_ok", wire.requests_ok);
-    w.field_uint("requests_client_error", wire.requests_client_error);
-    w.field_uint("requests_server_error", wire.requests_server_error);
-    w.field_uint("malformed_requests", wire.malformed_requests);
-    w.field_uint("disconnects_mid_request", wire.disconnects_mid_request);
-    w.field_uint("panics_contained", wire.panics_contained);
-    w.field_uint("requests_inline", wire.requests_inline);
-    w.field_uint("requests_dispatched", wire.requests_dispatched);
-    w.field_num("uptime_seconds", shared.started.elapsed().as_secs_f64());
-    w.field_uint("stats_epoch", epoch);
+    w.stats(WireStats::STATS, &wire);
     w.end_object();
     w.key("serve");
     w.begin_object();
-    w.field_uint("requests_submitted", serve.requests_submitted);
-    w.field_uint("requests_served", serve.requests_served);
-    w.field_uint("requests_failed", serve.requests_failed);
-    w.field_uint("batches_executed", serve.batches_executed);
-    w.field_uint("requests_coalesced", serve.requests_coalesced);
-    w.field_uint("points_served", serve.points_served);
-    w.field_uint("max_queue_depth", serve.max_queue_depth);
-    w.field_uint("queue_depth", shared.handle.queue_depth() as u64);
-    w.field_num("total_latency_seconds", serve.total_latency_seconds);
-    w.field_num("max_latency_seconds", serve.max_latency_seconds);
-    w.field_num("mean_latency_seconds", serve.mean_latency_seconds());
-    w.field_num("latency_p50_seconds", serve.latency_p50_seconds);
-    w.field_num("latency_p95_seconds", serve.latency_p95_seconds);
-    w.field_num("latency_p99_seconds", serve.latency_p99_seconds);
-    w.field_num("latency_p999_seconds", serve.latency_p999_seconds);
-    w.field_uint(
-        "factorizations_during_serving",
-        serve.factorizations_during_serving,
-    );
-    w.field_uint("observes_applied", serve.observes_applied);
-    w.field_uint("observe_points_ingested", serve.observe_points_ingested);
-    w.field_uint("observes_failed", serve.observes_failed);
-    w.field_uint("observe_sync_refits", serve.observe_sync_refits);
-    w.field_uint("observe_refits_triggered", serve.observe_refits_triggered);
-    w.field_num("observe_p50_seconds", serve.observe_p50_seconds);
-    w.field_num("observe_p95_seconds", serve.observe_p95_seconds);
-    w.field_num("observe_p99_seconds", serve.observe_p99_seconds);
-    let drift = shared.handle.drift_totals();
-    w.field_uint(
-        "ingest_updates_since_refactor",
-        drift.updates_since_refactor,
-    );
-    w.field_uint("ingest_updates_total", drift.updates_total);
-    w.field_uint("ingest_points_ingested", drift.points_ingested);
-    w.field_uint("ingest_points_expired", drift.points_expired);
-    w.field_uint("ingest_refits_triggered", drift.refits_triggered);
-    w.field_uint("ingest_refits_completed", drift.refits_completed);
-    w.field_uint("ingest_replayed_updates", drift.replayed_updates);
-    w.field_num("ingest_condition_growth", drift.condition_growth);
-    w.field_num("ingest_loglik_drift", drift.loglik_drift);
+    w.stats(ServerStats::STATS, &serve);
     w.end_object();
     w.key("registry");
     w.begin_object();
-    w.field_uint("resident_models", registry.resident_models as u64);
-    w.field_uint("bytes_in_use", registry.bytes_in_use as u64);
-    w.field_uint("insertions", registry.insertions);
-    w.field_uint("evictions", registry.evictions);
-    w.field_uint("hits", registry.hits);
-    w.field_uint("misses", registry.misses);
-    w.field_uint("loads", registry.loads);
-    w.field_uint("reaccounts", registry.reaccounts);
+    w.stats(RegistryStats::STATS, &registry);
     w.end_object();
     w.end_object();
     Response::ok(w.finish())
 }
 
-/// `GET /metrics`: the Prometheus text exposition. Scalar metric names
-/// mirror the `/v1/stats` JSON keys exactly (`exa_wire_requests_ok` ↔
-/// `wire.requests_ok`) so the CI drift check is a mechanical two-way key
-/// comparison; histogram families have no JSON twin and are allowlisted
-/// there.
+/// `GET /metrics`: the Prometheus text exposition. The scalar families are
+/// the same three tables and snapshots `/v1/stats` writes
+/// (`exa_wire_requests_ok` ↔ `wire.requests_ok`), so the two documents
+/// cannot disagree on a key; the histogram families have no JSON twin.
 fn metrics<K: ParamCovariance>(shared: &Shared<K>) -> Response {
-    let wire = shared.counters.snapshot();
-    let serve = shared.handle.stats();
-    let registry = shared.registry.stats();
-    let epoch = shared.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+    let (wire, serve, registry) = shared.render_snapshots();
     let mut p = PromText::new();
-    p.counter(
-        "exa_wire_connections_accepted",
-        "Connections accepted and admitted to the reactor.",
-        wire.connections_accepted,
-    );
-    p.counter(
-        "exa_wire_connections_refused",
-        "Connections refused with 503 at the connection cap.",
-        wire.connections_refused,
-    );
-    p.counter(
-        "exa_wire_requests_ok",
-        "Requests answered 2xx.",
-        wire.requests_ok,
-    );
-    p.counter(
-        "exa_wire_requests_client_error",
-        "Requests answered 4xx.",
-        wire.requests_client_error,
-    );
-    p.counter(
-        "exa_wire_requests_server_error",
-        "Requests answered 5xx.",
-        wire.requests_server_error,
-    );
-    p.counter(
-        "exa_wire_malformed_requests",
-        "HTTP-level parse failures answered with an error status.",
-        wire.malformed_requests,
-    );
-    p.counter(
-        "exa_wire_disconnects_mid_request",
-        "Clients that vanished or stalled past the deadline mid-request.",
-        wire.disconnects_mid_request,
-    );
-    p.counter(
-        "exa_wire_panics_contained",
-        "Handler panics contained by the per-request catch_unwind.",
-        wire.panics_contained,
-    );
-    p.counter(
-        "exa_wire_requests_inline",
-        "Predicts run as a batch-of-one on the reactor thread.",
-        wire.requests_inline,
-    );
-    p.counter(
-        "exa_wire_requests_dispatched",
-        "Predicts handed to the serve worker pool.",
-        wire.requests_dispatched,
-    );
-    p.gauge(
-        "exa_wire_uptime_seconds",
-        "Seconds since this wire server started.",
-        shared.started.elapsed().as_secs_f64(),
-    );
-    p.gauge(
-        "exa_wire_stats_epoch",
-        "Render counter, monotone per process; a decrease means a restart.",
-        epoch as f64,
-    );
-    p.counter(
-        "exa_serve_requests_submitted",
-        "Requests accepted into the serve queue.",
-        serve.requests_submitted,
-    );
-    p.counter(
-        "exa_serve_requests_served",
-        "Requests answered successfully by the serve layer.",
-        serve.requests_served,
-    );
-    p.counter(
-        "exa_serve_requests_failed",
-        "Requests answered with an error by the serve layer.",
-        serve.requests_failed,
-    );
-    p.counter(
-        "exa_serve_batches_executed",
-        "Coalesced prediction calls executed by the workers.",
-        serve.batches_executed,
-    );
-    p.counter(
-        "exa_serve_requests_coalesced",
-        "Requests that shared their batch with at least one other request.",
-        serve.requests_coalesced,
-    );
-    p.counter(
-        "exa_serve_points_served",
-        "Total prediction points answered.",
-        serve.points_served,
-    );
-    p.counter(
-        "exa_serve_max_queue_depth",
-        "Queue-depth high-water mark.",
-        serve.max_queue_depth,
-    );
-    p.gauge(
-        "exa_serve_queue_depth",
-        "Requests currently queued in the serve layer.",
-        shared.handle.queue_depth() as f64,
-    );
-    p.gauge(
-        "exa_serve_total_latency_seconds",
-        "Sum of per-request submit-to-response latencies.",
-        serve.total_latency_seconds,
-    );
-    p.gauge(
-        "exa_serve_max_latency_seconds",
-        "Worst single-request latency.",
-        serve.max_latency_seconds,
-    );
-    p.gauge(
-        "exa_serve_mean_latency_seconds",
-        "Mean submit-to-response latency.",
-        serve.mean_latency_seconds(),
-    );
-    p.gauge(
-        "exa_serve_latency_p50_seconds",
-        "Median serve latency from the latency histogram.",
-        serve.latency_p50_seconds,
-    );
-    p.gauge(
-        "exa_serve_latency_p95_seconds",
-        "95th-percentile serve latency from the latency histogram.",
-        serve.latency_p95_seconds,
-    );
-    p.gauge(
-        "exa_serve_latency_p99_seconds",
-        "99th-percentile serve latency from the latency histogram.",
-        serve.latency_p99_seconds,
-    );
-    p.gauge(
-        "exa_serve_latency_p999_seconds",
-        "99.9th-percentile serve latency from the latency histogram.",
-        serve.latency_p999_seconds,
-    );
-    p.counter(
-        "exa_serve_factorizations_during_serving",
-        "Cholesky factorizations performed by serve workers (must stay 0).",
-        serve.factorizations_during_serving,
-    );
-    p.counter(
-        "exa_serve_observes_applied",
-        "Observe batches applied successfully (the write path).",
-        serve.observes_applied,
-    );
-    p.counter(
-        "exa_serve_observe_points_ingested",
-        "Observation points ingested by successful observes.",
-        serve.observe_points_ingested,
-    );
-    p.counter(
-        "exa_serve_observes_failed",
-        "Observe batches rejected or failed.",
-        serve.observes_failed,
-    );
-    p.counter(
-        "exa_serve_observe_sync_refits",
-        "Observes that fell back to a synchronous full refit.",
-        serve.observe_sync_refits,
-    );
-    p.counter(
-        "exa_serve_observe_refits_triggered",
-        "Background refactorizations scheduled by drift during an observe.",
-        serve.observe_refits_triggered,
-    );
-    p.gauge(
-        "exa_serve_observe_p50_seconds",
-        "Median observe latency from the observe histogram.",
-        serve.observe_p50_seconds,
-    );
-    p.gauge(
-        "exa_serve_observe_p95_seconds",
-        "95th-percentile observe latency from the observe histogram.",
-        serve.observe_p95_seconds,
-    );
-    p.gauge(
-        "exa_serve_observe_p99_seconds",
-        "99th-percentile observe latency from the observe histogram.",
-        serve.observe_p99_seconds,
-    );
-    let drift = shared.handle.drift_totals();
-    p.gauge(
-        "exa_serve_ingest_updates_since_refactor",
-        "Incremental updates applied since the last refactorization (max over resident models).",
-        drift.updates_since_refactor as f64,
-    );
-    p.counter(
-        "exa_serve_ingest_updates_total",
-        "Lifetime observe/expire calls across resident models.",
-        drift.updates_total,
-    );
-    p.counter(
-        "exa_serve_ingest_points_ingested",
-        "Lifetime observation points ingested across resident models.",
-        drift.points_ingested,
-    );
-    p.counter(
-        "exa_serve_ingest_points_expired",
-        "Lifetime observation points expired across resident models.",
-        drift.points_expired,
-    );
-    p.counter(
-        "exa_serve_ingest_refits_triggered",
-        "Background refactorizations scheduled by drift policy.",
-        drift.refits_triggered,
-    );
-    p.counter(
-        "exa_serve_ingest_refits_completed",
-        "Refactorizations (background or fallback) completed.",
-        drift.refits_completed,
-    );
-    p.counter(
-        "exa_serve_ingest_replayed_updates",
-        "Write operations replayed onto freshly refactored models.",
-        drift.replayed_updates,
-    );
-    p.gauge(
-        "exa_serve_ingest_condition_growth",
-        "Condition-estimate growth since the last refactorization (max over resident models).",
-        drift.condition_growth,
-    );
-    p.gauge(
-        "exa_serve_ingest_loglik_drift",
-        "Per-point log-likelihood drift since the last refactorization (max over resident models).",
-        drift.loglik_drift,
-    );
-    p.gauge(
-        "exa_registry_resident_models",
-        "Models currently resident in the registry.",
-        registry.resident_models as f64,
-    );
-    p.gauge(
-        "exa_registry_bytes_in_use",
-        "Factor bytes currently resident in the registry.",
-        registry.bytes_in_use as f64,
-    );
-    p.counter(
-        "exa_registry_insertions",
-        "Lifetime registry insertions.",
-        registry.insertions,
-    );
-    p.counter(
-        "exa_registry_evictions",
-        "Lifetime LRU evictions by the byte budget.",
-        registry.evictions,
-    );
-    p.counter(
-        "exa_registry_hits",
-        "Lifetime registry lookups that hit.",
-        registry.hits,
-    );
-    p.counter(
-        "exa_registry_misses",
-        "Lifetime registry lookups that missed.",
-        registry.misses,
-    );
-    p.counter(
-        "exa_registry_loads",
-        "Lifetime models materialized by the load-on-miss hook.",
-        registry.loads,
-    );
-    p.counter(
-        "exa_registry_reaccounts",
-        "Byte-ledger recomputations after a model grew or shrank in place.",
-        registry.reaccounts,
-    );
+    p.stats("wire", WireStats::STATS, &wire);
+    p.stats("serve", ServerStats::STATS, &serve);
+    p.stats("registry", RegistryStats::STATS, &registry);
     p.histogram(
         "exa_serve_latency_seconds",
         "Submit-to-response latency of the prediction server.",

@@ -10,6 +10,7 @@ use exa_runtime::Runtime;
 use exa_serve::{ModelRegistry, ServeConfig};
 use exa_util::Rng;
 use exa_wire::codec::{self, Codec};
+use exa_wire::json::Json;
 use exa_wire::{WireClient, WireConfig, WireError, WireServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -634,6 +635,28 @@ fn models_endpoint_observes_eviction() {
     assert_eq!(snapshot.insertions, 3);
     assert_eq!(snapshot.bytes_in_use, 2 * per_model as u64);
 
+    // The counter block is the registry table: `loads` and `reaccounts`
+    // follow the seven keys the decoder above reads (and ignores them).
+    let Json::Obj(fields) = client.get_json("/v1/models").expect("raw models") else {
+        panic!("/v1/models is not an object");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "models",
+            "resident_models",
+            "bytes_in_use",
+            "byte_budget",
+            "insertions",
+            "evictions",
+            "hits",
+            "misses",
+            "loads",
+            "reaccounts"
+        ]
+    );
+
     // Predicting the evicted name is a structured 404 now.
     let err = client.predict("a", &[Location::new(0.2, 0.8)]).unwrap_err();
     assert!(matches!(err, WireError::Api { status: 404, .. }), "{err}");
@@ -803,7 +826,6 @@ fn connection_close_and_http10_are_honored() {
 #[test]
 fn metrics_stats_and_slow_ring_observe_traffic() {
     use exa_telemetry::{validate_exposition, TraceId, TRACE_HEADER};
-    use exa_wire::json::Json;
 
     let model = fitted(256, 33, Backend::FullTile);
     let (server, _registry) = boot(&[("soil", model)], WireConfig::default());
@@ -943,5 +965,63 @@ fn metrics_stats_and_slow_ring_observe_traffic() {
             "{trace} missing from ring"
         );
     }
+    server.shutdown();
+}
+
+/// The "same documents" pin: the key sequence of the three `/v1/stats`
+/// objects and the `# HELP` / `# TYPE` lines of `/metrics` are those
+/// recorded from the hand-written writers (`tests/golden/`, taken at the
+/// commit before the stat tables), except that the six ingest totals, which
+/// an eviction lowers, are now typed `gauge`.
+#[test]
+fn stats_and_metrics_documents_match_the_recorded_goldens() {
+    let model = fitted(64, 5, Backend::FullTile);
+    let (server, _registry) = boot(&[("soil", model)], WireConfig::default());
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+    let stats = client.stats().expect("stats");
+    let mut keys = String::new();
+    for object in ["wire", "serve", "registry"] {
+        let Some(Json::Obj(fields)) = stats.get(object) else {
+            panic!("/v1/stats has no {object} object");
+        };
+        for (key, _) in fields {
+            keys.push_str(&format!("{object}.{key}\n"));
+        }
+    }
+    assert_eq!(keys, include_str!("golden/stats_keys.txt"));
+
+    let resp = client
+        .request_raw("GET", "/metrics", "application/json", "*/*", b"")
+        .expect("metrics");
+    let text = String::from_utf8(resp.body).expect("metrics utf8");
+    // One TYPE line per family is part of the grammar, so this also proves
+    // every metric name in the exposition is unique.
+    exa_telemetry::validate_exposition(&text).expect("metrics grammar");
+    let preamble: Vec<&str> = text.lines().filter(|l| l.starts_with("# ")).collect();
+    let mut retyped = 0;
+    let expected: Vec<String> = include_str!("golden/metrics_preamble.txt")
+        .lines()
+        .map(|line| {
+            let was_counter = [
+                "updates_total",
+                "points_ingested",
+                "points_expired",
+                "refits_triggered",
+                "refits_completed",
+                "replayed_updates",
+            ]
+            .iter()
+            .any(|key| line == format!("# TYPE exa_serve_ingest_{key} counter"));
+            if was_counter {
+                retyped += 1;
+                line.replace(" counter", " gauge")
+            } else {
+                line.to_string()
+            }
+        })
+        .collect();
+    assert_eq!(retyped, 6);
+    assert_eq!(preamble, expected);
     server.shutdown();
 }

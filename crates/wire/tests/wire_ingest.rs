@@ -277,3 +277,57 @@ fn tile_models_fall_back_to_sync_refit_over_the_wire() {
         "the fallback refit runs outside the serve workers' counter"
     );
 }
+
+/// The unlabelled samples of every family typed `counter` in an exposition.
+fn counter_samples(text: &str) -> std::collections::HashMap<&str, f64> {
+    let counters: std::collections::HashSet<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+        .collect();
+    text.lines()
+        .filter_map(|line| line.split_once(' '))
+        .filter(|(name, _)| counters.contains(name))
+        .map(|(name, value)| (name, value.parse().expect("counter value")))
+        .collect()
+}
+
+/// A Prometheus `counter` may only go up, or `rate()` sees a reset. The
+/// ingest totals are summed over the models resident *now*, so evicting a
+/// model that has ingested points lowers them: they must not be typed
+/// `counter`, and nothing that is may drop across the eviction.
+#[test]
+fn no_counter_typed_metric_decreases_when_a_model_is_evicted() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.insert("m", fitted(64, 23, Backend::FullBlock));
+    let server = WireServer::start(Arc::clone(&registry), WireConfig::default()).expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    let (pts, vals) = fresh_points(3, 79);
+    client.observe("m", &pts, &vals).expect("observe");
+
+    let mut scrape = || {
+        let resp = client
+            .request_raw("GET", "/metrics", "application/json", "*/*", b"")
+            .expect("metrics");
+        String::from_utf8(resp.body).expect("metrics utf8")
+    };
+    let before = scrape();
+    assert!(
+        before.contains("exa_serve_ingest_points_ingested 3\n"),
+        "{before}"
+    );
+    assert!(registry.evict("m"));
+    let after = scrape();
+    assert!(
+        after.contains("exa_serve_ingest_points_ingested 0\n"),
+        "{after}"
+    );
+    let after = counter_samples(&after);
+    for (name, was) in counter_samples(&before) {
+        assert!(
+            after[name] >= was,
+            "counter {name} fell {was} → {}",
+            after[name]
+        );
+    }
+    server.shutdown();
+}

@@ -129,7 +129,7 @@ fn main() {
     println!("  queue high-water  {:>10}", stats.max_queue_depth);
     println!(
         "  latency mean/max  {:>7.0} / {:.0} µs",
-        stats.mean_latency_seconds() * 1e6,
+        stats.mean_latency_seconds * 1e6,
         stats.max_latency_seconds * 1e6
     );
     println!(
