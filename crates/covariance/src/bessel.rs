@@ -3,10 +3,10 @@
 //! This is the special-function core of the Matérn family (paper Eq. 5),
 //! substituting for GSL's `gsl_sf_bessel_Knu`. Two regimes:
 //!
-//! * `x ≤ 2`: Temme's series (Temme, *J. Comput. Phys.* 19, 1975) for
+//! * `x < 2`: Temme's series (Temme, *J. Comput. Phys.* 19, 1975) for
 //!   `K_μ`/`K_{μ+1}` with `|μ| ≤ 1/2`, followed by upward recurrence
 //!   `K_{ν+1} = K_{ν−1} + (2ν/x)·K_ν`.
-//! * `x > 2`: Steed's continued-fraction CF2 evaluation of `K_μ`, `K_{μ+1}`,
+//! * `x ≥ 2`: Steed's continued-fraction CF2 evaluation of `K_μ`, `K_{μ+1}`,
 //!   then the same recurrence.
 //!
 //! The *scaled* variant `e^x·K_ν(x)` is exposed so the Matérn covariance can
@@ -35,15 +35,27 @@ pub fn bessel_k(nu: f64, x: f64) -> f64 {
 }
 
 /// Scaled modified Bessel function `e^x · K_ν(x)` for `ν ≥ 0`, `x > 0`.
+///
+/// Returns NaN for a NaN `x` and when the series or continued fraction
+/// fails to converge (a caller sees a rejected point, never a truncated
+/// sum), and the limit 0 at `x = +∞` — neither reaches the iterations.
 pub fn bessel_k_scaled(nu: f64, x: f64) -> f64 {
     assert!(nu >= 0.0, "order must be non-negative (got {nu})");
+    if x.is_nan() {
+        return f64::NAN;
+    }
     assert!(x > 0.0, "argument must be positive (got {x})");
+    if x == f64::INFINITY {
+        return 0.0;
+    }
     // Split ν = μ + n with |μ| ≤ 1/2.
     let n = (nu + 0.5).floor() as usize;
     let mu = nu - n as f64;
-    let (mut k_mu, mut k_mu1) = if x <= 2.0 {
+    // The seam sits on a power of two so that every panel of the Matérn table
+    // (crate::table) samples one regime only.
+    let (mut k_mu, mut k_mu1) = if x < 2.0 {
         let (a, b) = temme_small_x(mu, x);
-        // Temme yields unscaled values; scale by e^x (safe: x ≤ 2).
+        // Temme yields unscaled values; scale by e^x (safe: x < 2).
         let ex = x.exp();
         (a * ex, b * ex)
     } else {
@@ -56,15 +68,15 @@ pub fn bessel_k_scaled(nu: f64, x: f64) -> f64 {
         let next = (mu + i as f64 + 1.0) * xi2 * k_mu1 + k_mu;
         k_mu = k_mu1;
         k_mu1 = next;
-        if !k_mu.is_finite() {
+        if k_mu == f64::INFINITY {
             return f64::INFINITY;
         }
     }
     k_mu
 }
 
-/// Temme series: returns (K_μ(x), K_{μ+1}(x)) unscaled, for `x ≤ 2`,
-/// `|μ| ≤ 1/2`.
+/// Temme series: returns (K_μ(x), K_{μ+1}(x)) unscaled, for `x < 2`,
+/// `|μ| ≤ 1/2`; NaN if the series has not converged in `MAX_ITER` terms.
 fn temme_small_x(mu: f64, x: f64) -> (f64, f64) {
     let x2 = 0.5 * x;
     let mu2 = mu * mu;
@@ -103,12 +115,14 @@ fn temme_small_x(mu: f64, x: f64) -> (f64, f64) {
             break;
         }
     }
-    debug_assert!(converged, "Temme series did not converge (mu={mu}, x={x})");
+    if !converged {
+        return (f64::NAN, f64::NAN);
+    }
     (sum, sum1 * 2.0 / x)
 }
 
-/// Steed's CF2: returns scaled (e^x K_μ(x), e^x K_{μ+1}(x)) for `x > 2`,
-/// `|μ| ≤ 1/2`.
+/// Steed's CF2: returns scaled (e^x K_μ(x), e^x K_{μ+1}(x)) for `x ≥ 2`,
+/// `|μ| ≤ 1/2`; NaN if the fraction has not converged in `MAX_ITER` terms.
 fn steed_cf2_scaled(mu: f64, x: f64) -> (f64, f64) {
     let mu2 = mu * mu;
     let mut b = 2.0 * (1.0 + x);
@@ -142,7 +156,9 @@ fn steed_cf2_scaled(mu: f64, x: f64) -> (f64, f64) {
             break;
         }
     }
-    debug_assert!(converged, "CF2 did not converge (mu={mu}, x={x})");
+    if !converged {
+        return (f64::NAN, f64::NAN);
+    }
     let h = a1 * h;
     // Scaled: e^x K_μ = sqrt(π/(2x)) / s.
     let k_mu = (std::f64::consts::PI / (2.0 * x)).sqrt() / s;

@@ -7,7 +7,9 @@
 //! compressor samples individual entries through [`CovarianceKernel::entry`]).
 
 use crate::distance::{DistanceMetric, Location};
+use crate::fastmath::exp_neg;
 use crate::matern::MaternParams;
+use crate::table::MaternTable;
 use std::sync::Arc;
 
 /// A positive-definite covariance model over a fixed set of locations.
@@ -35,13 +37,43 @@ pub trait CovarianceKernel: Sync {
         out: &mut [f64],
         ld: usize,
     ) {
-        debug_assert!(ld >= nrows);
-        for j in 0..ncols {
-            let col = &mut out[j * ld..j * ld + nrows];
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = self.entry(row_off + i, col_off + j);
-            }
+        fill_tile_generic(self, row_off, nrows, col_off, ncols, out, ld);
+    }
+}
+
+/// The entry-by-entry tile fill every kernel can fall back on.
+pub(crate) fn fill_tile_generic<K: CovarianceKernel + ?Sized>(
+    kernel: &K,
+    row_off: usize,
+    nrows: usize,
+    col_off: usize,
+    ncols: usize,
+    out: &mut [f64],
+    ld: usize,
+) {
+    debug_assert!(ld >= nrows);
+    for j in 0..ncols {
+        let col = &mut out[j * ld..j * ld + nrows];
+        for (i, v) in col.iter_mut().enumerate() {
+            *v = kernel.entry(row_off + i, col_off + j);
         }
+    }
+}
+
+/// Pass 1 of the two-pass fills: `out[k] = metric.distance(aₖ, bₖ) · scale`.
+///
+/// The radial function runs as a second pass over `out`, so this loop is
+/// sub/mul/sqrt only for the Euclidean metric (the compiler hoists the
+/// metric match and vectorizes it on baseline x86-64) and the second pass is
+/// metric-agnostic.
+fn scaled_distances(
+    metric: DistanceMetric,
+    scale: f64,
+    pairs: impl Iterator<Item = (Location, Location)>,
+    out: &mut [f64],
+) {
+    for (dst, (a, b)) in out.iter_mut().zip(pairs) {
+        *dst = metric.distance(&a, &b) * scale;
     }
 }
 
@@ -127,11 +159,19 @@ pub trait ParamCovariance: CovarianceKernel + Clone + Send + Sync + 'static {
     /// This is the hot kernel of the batched prediction path
     /// (`FittedModel::predict_batch` coalesces queries into blocked fills of
     /// exactly this shape). The default walks [`ParamCovariance::cross`]
-    /// entry by entry; families whose covariance reduces to
-    /// elementary-function forms override it with branchless loops the
-    /// compiler vectorizes (see [`crate::fastmath`]). Overrides may differ
-    /// from the default by the vectorized exponential's ≤ ~3·10⁻¹³ relative
-    /// error.
+    /// entry by entry. Overrides fill in two passes — scaled distances, then
+    /// the radial function in place:
+    ///
+    /// * Matérn at ν ∈ {½, 3⁄2, 5⁄2}, under either metric: `poly(x)·e⁻ˣ` as
+    ///   a branchless loop the compiler vectorizes over
+    ///   [`exp_neg`]; differs from `cross` by that
+    ///   exponential's ≤ ~3·10⁻¹³ relative error.
+    /// * Matérn at every other ν, under either metric: the kernel's
+    ///   tabulated radial function, the same evaluator `cross` and `entry`
+    ///   use, so the row equals `cross` bit for bit.
+    /// * Powered-exponential at powers 1 and 2 and Gaussian, Euclidean
+    ///   metric only: `exp_neg` loops as above; other powers and the
+    ///   great-circle metric take the default.
     fn fill_cross_row(&self, target: &Location, xs: &[f64], ys: &[f64], out: &mut [f64]) {
         fill_cross_row_generic(self, target, xs, ys, out);
     }
@@ -186,6 +226,14 @@ pub(crate) fn check_family_inputs(
 }
 
 /// Matérn covariance over an explicit location list.
+///
+/// Every entry is `θ₁ · ρ_ν(d/θ₂)` with one radial function `ρ_ν` per
+/// kernel: the elementary closed forms at ν ∈ {½, 3⁄2, 5⁄2}, and at every
+/// other smoothness a lookup in a piecewise-Chebyshev table of `ρ_ν` built
+/// for that ν (≤ 1e-13 relative against the Bessel form; see the proptests) —
+/// `K_ν` is evaluated only to build the table's panels, never per entry.
+/// [`MaternParams::covariance`] is the scalar reference both are tested
+/// against.
 #[derive(Clone, Debug)]
 pub struct MaternKernel {
     locations: std::sync::Arc<Vec<Location>>,
@@ -194,6 +242,16 @@ pub struct MaternKernel {
     /// Small diagonal regularization τ² ≥ 0 added at `i == j` (numerical
     /// stabilization; 0 reproduces the paper's exact model).
     nugget: f64,
+    /// `ρ_ν` for a general ν; `None` at the three closed-form orders.
+    /// Built per kernel (per θ) and shared by `with_locations`.
+    table: Option<Arc<MaternTable>>,
+}
+
+/// The radial-function table for smoothness `nu`: none at ν ∈ {½, 3⁄2, 5⁄2},
+/// whose radial function is `poly(x)·e⁻ˣ`.
+fn table_for(nu: f64) -> Option<Arc<MaternTable>> {
+    let closed_form = nu == 0.5 || nu == 1.5 || nu == 2.5;
+    (!closed_form).then(|| Arc::new(MaternTable::new(nu)))
 }
 
 impl MaternKernel {
@@ -213,6 +271,7 @@ impl MaternKernel {
             params,
             metric,
             nugget,
+            table: table_for(params.smoothness),
         }
     }
 
@@ -232,17 +291,59 @@ impl MaternKernel {
     /// iteration; the location set is shared).
     pub fn with_params(&self, params: MaternParams) -> Self {
         MaternKernel {
-            locations: self.locations.clone(),
             params,
-            metric: self.metric,
-            nugget: self.nugget,
+            table: table_for(params.smoothness),
+            ..self.clone()
         }
     }
 
     /// Cross-covariance entry between an arbitrary pair of locations (used by
     /// the prediction path to form Σ₁₂ between unobserved and observed sets).
     pub fn cross(&self, a: &Location, b: &Location) -> f64 {
-        self.params.covariance(self.metric.distance(a, b))
+        self.covariance(self.metric.distance(a, b))
+    }
+
+    /// `1/θ₂`, clamped so a subnormal range scales a zero distance to 0, not
+    /// to `0·∞`.
+    fn inv_range(&self) -> f64 {
+        self.params.range.recip().min(f64::MAX)
+    }
+
+    /// Covariance at distance `r`: the scalar form of the two-pass fills.
+    fn covariance(&self, r: f64) -> f64 {
+        match &self.table {
+            // The closed forms keep the reference's own arithmetic (libm
+            // `exp`, `r/θ₂`): `crates/tlr/tests/golden_bits.rs` pins the
+            // factors generated from it.
+            None => self.params.covariance(r),
+            Some(table) => self.params.variance * table.eval(r * self.inv_range()),
+        }
+    }
+
+    /// Pass 2 of the two-pass fills: scaled distances `x = d/θ₂` to
+    /// covariances, in place, the radial function selected once per slice.
+    fn radial_in_place(&self, out: &mut [f64]) {
+        let sigma = self.params.variance;
+        let nu = self.params.smoothness;
+        if let Some(table) = &self.table {
+            for v in out.iter_mut() {
+                *v = sigma * table.eval(*v);
+            }
+        } else if nu == 0.5 {
+            for v in out.iter_mut() {
+                *v = sigma * exp_neg(-*v);
+            }
+        } else if nu == 1.5 {
+            for v in out.iter_mut() {
+                let x = *v;
+                *v = sigma * (1.0 + x) * exp_neg(-x);
+            }
+        } else {
+            for v in out.iter_mut() {
+                let x = *v;
+                *v = sigma * (1.0 + x + x * x * (1.0 / 3.0)) * exp_neg(-x);
+            }
+        }
     }
 }
 
@@ -255,8 +356,36 @@ impl CovarianceKernel for MaternKernel {
         if i == j {
             return self.params.variance + self.nugget;
         }
-        let r = self.metric.distance(&self.locations[i], &self.locations[j]);
-        self.params.covariance(r)
+        self.covariance(self.metric.distance(&self.locations[i], &self.locations[j]))
+    }
+
+    fn fill_tile(
+        &self,
+        row_off: usize,
+        nrows: usize,
+        col_off: usize,
+        ncols: usize,
+        out: &mut [f64],
+        ld: usize,
+    ) {
+        if self.table.is_none() {
+            // Closed forms: entry by entry, bit for bit what the golden
+            // factors were generated from.
+            return fill_tile_generic(self, row_off, nrows, col_off, ncols, out, ld);
+        }
+        debug_assert!(ld >= nrows);
+        let rows = &self.locations[row_off..row_off + nrows];
+        let inv_range = self.inv_range();
+        for j in 0..ncols {
+            let site = self.locations[col_off + j];
+            let col = &mut out[j * ld..j * ld + nrows];
+            scaled_distances(self.metric, inv_range, rows.iter().map(|&r| (r, site)), col);
+            self.radial_in_place(col);
+            // The true diagonal carries the nugget.
+            if (row_off..row_off + nrows).contains(&(col_off + j)) {
+                col[col_off + j - row_off] = self.params.variance + self.nugget;
+            }
+        }
     }
 }
 
@@ -280,12 +409,7 @@ impl ParamCovariance for MaternKernel {
             smoothness: theta[2],
         };
         params.validate()?;
-        Ok(MaternKernel {
-            locations,
-            params,
-            metric,
-            nugget,
-        })
+        Ok(Self::new(locations, params, metric, nugget))
     }
 
     fn params_vec(&self) -> Vec<f64> {
@@ -300,9 +424,7 @@ impl ParamCovariance for MaternKernel {
     fn with_locations(&self, locations: Arc<Vec<Location>>) -> Self {
         MaternKernel {
             locations,
-            params: self.params,
-            metric: self.metric,
-            nugget: self.nugget,
+            ..self.clone()
         }
     }
 
@@ -313,45 +435,21 @@ impl ParamCovariance for MaternKernel {
     }
 
     fn cross(&self, a: &Location, b: &Location) -> f64 {
-        self.params.covariance(self.metric.distance(a, b))
+        MaternKernel::cross(self, a, b)
     }
 
     fn fill_cross_row(&self, target: &Location, xs: &[f64], ys: &[f64], out: &mut [f64]) {
-        // Vectorized fast path for the half-integer smoothness values that
-        // dominate the paper's experiments: C = σ·poly(x)·e⁻ˣ, x = r/β.
-        let nu = self.params.smoothness;
-        if self.metric != DistanceMetric::Euclidean || !(nu == 0.5 || nu == 1.5 || nu == 2.5) {
-            return fill_cross_row_generic(self, target, xs, ys, out);
-        }
         assert_eq!(xs.len(), out.len(), "coordinate/output length mismatch");
         assert_eq!(ys.len(), out.len(), "coordinate/output length mismatch");
-        let (tx, ty) = (target.x, target.y);
-        let inv_range = 1.0 / self.params.range;
-        let sigma = self.params.variance;
-        // Pass 1: scaled distances (sub/mul/sqrt — vectorizes on baseline
-        // x86-64). Kept separate from the exponential pass so neither loop
-        // carries a dependency that would block SIMD.
-        for ((dst, &ox), &oy) in out.iter_mut().zip(xs).zip(ys) {
-            let dx = tx - ox;
-            let dy = ty - oy;
-            *dst = (dx * dx + dy * dy).sqrt() * inv_range;
-        }
-        // Pass 2: the smoothness-specific closed form, selected once per row.
-        if nu == 0.5 {
-            for v in out.iter_mut() {
-                *v = sigma * crate::fastmath::exp_neg(-*v);
-            }
-        } else if nu == 1.5 {
-            for v in out.iter_mut() {
-                let x = *v;
-                *v = sigma * (1.0 + x) * crate::fastmath::exp_neg(-x);
-            }
-        } else {
-            for v in out.iter_mut() {
-                let x = *v;
-                *v = sigma * (1.0 + x + x * x * (1.0 / 3.0)) * crate::fastmath::exp_neg(-x);
-            }
-        }
+        // Two passes so neither loop carries a dependency that would block
+        // SIMD: distances, then C = σ·ρ_ν(x) — `poly(x)·exp_neg(−x)` at the
+        // half-integer orders, the table at every other one.
+        let sites = xs
+            .iter()
+            .zip(ys)
+            .map(|(&x, &y)| (*target, Location::new(x, y)));
+        scaled_distances(self.metric, self.inv_range(), sites, out);
+        self.radial_in_place(out);
     }
 
     fn sill(&self) -> f64 {
@@ -452,39 +550,149 @@ mod tests {
         assert_eq!(k.entry(0, 0), 1.0); // original untouched
     }
 
-    #[test]
-    fn fill_cross_row_matches_cross_for_every_smoothness() {
-        // The vectorized half-integer paths and the generic fallback must
-        // agree with entry-wise `cross` (fast exp: ≤ ~3e-13 relative).
+    /// 37 scattered sites, their coordinate columns, and a target.
+    fn scattered() -> (Vec<Location>, Vec<f64>, Vec<f64>, Location) {
         let locs: Vec<Location> = (0..37)
             .map(|i| Location::new((i as f64 * 0.27) % 1.0, (i as f64 * 0.61) % 1.0))
             .collect();
-        let xs: Vec<f64> = locs.iter().map(|l| l.x).collect();
-        let ys: Vec<f64> = locs.iter().map(|l| l.y).collect();
-        let target = Location::new(0.41, 0.73);
-        for (metric, nu) in [
-            (DistanceMetric::Euclidean, 0.5),
-            (DistanceMetric::Euclidean, 1.5),
-            (DistanceMetric::Euclidean, 2.5),
-            (DistanceMetric::Euclidean, 0.8), // generic fallback (Bessel)
-            (DistanceMetric::GreatCircleKm, 0.5), // generic fallback (metric)
+        let xs = locs.iter().map(|l| l.x).collect();
+        let ys = locs.iter().map(|l| l.y).collect();
+        (locs, xs, ys, Location::new(0.41, 0.73))
+    }
+
+    #[test]
+    fn fill_cross_row_matches_cross_for_every_smoothness() {
+        // The vectorized half-integer rows differ from entry-wise `cross`
+        // by the fast exponential (≤ ~3e-13 relative) under either metric;
+        // the table rows are the same evaluator and agree exactly.
+        let (locs, xs, ys, target) = scattered();
+        for (metric, range) in [
+            (DistanceMetric::Euclidean, 0.1),
+            (DistanceMetric::GreatCircleKm, 40.0), // degrees → km
         ] {
-            let k = MaternKernel::new(
-                Arc::new(locs.clone()),
-                MaternParams::new(1.3, 0.1, nu),
-                metric,
-                0.0,
-            );
-            let mut row = vec![f64::NAN; locs.len()];
-            k.fill_cross_row(&target, &xs, &ys, &mut row);
-            for (got, loc) in row.iter().zip(&locs) {
-                let want = k.cross(&target, loc);
-                assert!(
-                    (got - want).abs() <= 1e-12 * want.abs().max(1e-300),
-                    "nu={nu} {metric:?}: {got} vs {want}"
+            for nu in [0.5, 1.5, 2.5, 0.8, 1.0] {
+                let k = MaternKernel::new(
+                    Arc::new(locs.clone()),
+                    MaternParams::new(1.3, range, nu),
+                    metric,
+                    0.0,
                 );
+                let mut row = vec![f64::NAN; locs.len()];
+                k.fill_cross_row(&target, &xs, &ys, &mut row);
+                for (got, loc) in row.iter().zip(&locs) {
+                    let want = k.cross(&target, loc);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs().max(1e-300),
+                        "nu={nu} {metric:?}: {got} vs {want}"
+                    );
+                    if k.table.is_some() {
+                        assert_eq!(*got, want, "nu={nu} {metric:?}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn great_circle_rows_take_the_vectorized_closed_form() {
+        // The radial pass does not care which metric produced the distance:
+        // a ν = ½ great-circle row is σ·exp_neg(−d/θ₂) bit for bit, not the
+        // libm exponential of the entry-wise path.
+        let (locs, xs, ys, target) = scattered();
+        let (sigma, range) = (1.3, 40.0);
+        let k = MaternKernel::new(
+            Arc::new(locs.clone()),
+            MaternParams::new(sigma, range, 0.5),
+            DistanceMetric::GreatCircleKm,
+            0.0,
+        );
+        let mut row = vec![f64::NAN; locs.len()];
+        k.fill_cross_row(&target, &xs, &ys, &mut row);
+        for (got, loc) in row.iter().zip(&locs) {
+            let d = crate::distance::great_circle_km(&target, loc);
+            assert_eq!(*got, sigma * exp_neg(-(d * (1.0 / range))));
+        }
+    }
+
+    #[test]
+    fn general_smoothness_tiles_equal_entries_bit_for_bit() {
+        // Dense assembly, TLR compression and the block reference compare
+        // tiles with entries exactly; diagonal and off-diagonal tiles, a
+        // leading dimension, a nugget, both metrics.
+        let (locs, ..) = scattered();
+        for (metric, range) in [
+            (DistanceMetric::Euclidean, 0.1),
+            (DistanceMetric::GreatCircleKm, 40.0),
+        ] {
+            for nu in [0.3, 1.0, 2.9] {
+                let k = MaternKernel::new(
+                    Arc::new(locs.clone()),
+                    MaternParams::new(0.9, range, nu),
+                    metric,
+                    0.01,
+                );
+                for (row_off, col_off) in [(0, 0), (3, 5), (20, 2), (5, 3)] {
+                    let (nr, nc, ld) = (11usize, 9usize, 13usize);
+                    let mut buf = vec![f64::NAN; ld * nc];
+                    k.fill_tile(row_off, nr, col_off, nc, &mut buf, ld);
+                    for j in 0..nc {
+                        for i in 0..nr {
+                            assert_eq!(
+                                buf[i + j * ld],
+                                k.entry(row_off + i, col_off + j),
+                                "nu={nu} {metric:?} ({row_off}+{i}, {col_off}+{j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_observed_subset_shares_the_table_and_closed_forms_build_none() {
+        let k = grid_kernel(3).with_params(MaternParams::new(1.0, 0.1, 0.8));
+        let table = k.table.as_ref().expect("general ν is tabulated");
+        let subset = k.with_locations(Arc::new(vec![Location::new(0.5, 0.5)]));
+        assert!(Arc::ptr_eq(table, subset.table.as_ref().unwrap()));
+        for nu in [0.5, 1.5, 2.5] {
+            assert!(k
+                .with_params(MaternParams::new(1.0, 0.1, nu))
+                .table
+                .is_none());
+        }
+    }
+
+    #[test]
+    fn degenerate_distances_and_ranges_return_at_once() {
+        // A subnormal range scales every positive distance to x = ∞ (exact
+        // 0, no continued fraction) and a zero distance to 0 (the sill); a
+        // NaN coordinate propagates as NaN. None of them iterates.
+        let locs = vec![
+            Location::new(0.1, 0.2),
+            Location::new(0.7, 0.3),
+            Location::new(f64::NAN, 0.5),
+        ];
+        let k = MaternKernel::new(
+            Arc::new(locs.clone()),
+            MaternParams::new(1.5, 1e-320, 0.8),
+            DistanceMetric::Euclidean,
+            0.0,
+        );
+        let start = std::time::Instant::now();
+        assert_eq!(k.entry(0, 1), 0.0);
+        assert_eq!(k.cross(&locs[0], &locs[0]), 1.5);
+        assert!(k.entry(0, 2).is_nan());
+        let mut tile = [0.0; 9];
+        k.fill_tile(0, 3, 0, 3, &mut tile, 3);
+        assert_eq!(tile[..2], [1.5, 0.0]);
+        assert!(tile[2].is_nan());
+        // The scalar reference agrees, as quickly.
+        assert_eq!(k.params().covariance(0.6), 0.0);
+        assert!(k.params().covariance(f64::NAN).is_nan());
+        assert!(crate::bessel::bessel_k_scaled(0.8, f64::NAN).is_nan());
+        assert_eq!(crate::bessel::bessel_k_scaled(0.8, f64::INFINITY), 0.0);
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl MaternParams {
     /// Evaluated in log space through the *scaled* Bessel function so large
     /// `r/θ₂` underflows gracefully to 0 instead of producing `0 · ∞`.
     pub fn covariance(&self, r: f64) -> f64 {
-        debug_assert!(r >= 0.0, "distance must be non-negative");
+        debug_assert!(r >= 0.0 || r.is_nan(), "distance must be non-negative"); // NaN propagates
         if r == 0.0 {
             return self.variance;
         }
