@@ -155,6 +155,25 @@ fn live_model_observe_updates_predictions_and_drift() {
     assert_eq!(live.drift().points_expired, 5);
 }
 
+/// The dense ingest path is an O(n²) factor edit, never an O(n³) refit: an
+/// observe and the matching expire both update in place and leave the
+/// calling thread's factorization counter where it was.
+#[test]
+fn dense_observe_and_expire_never_refactor() {
+    let rt = Runtime::new(2);
+    let live = LiveModel::new(fitted(96, 41, Backend::FullBlock), LivePolicy::default());
+    let (pts, vals) = fresh_points(4, 43);
+
+    let before = exa_geostat::factorization_count();
+    let observed = live.observe(&pts, &vals, &rt).unwrap();
+    let expired = live.expire(&(96..100).collect::<Vec<_>>(), &rt).unwrap();
+    assert_eq!(exa_geostat::factorization_count(), before);
+
+    assert!(observed.used_incremental && expired.used_incremental);
+    assert!(!observed.refit_triggered && !expired.refit_triggered);
+    assert_eq!(expired.model_points, 96);
+}
+
 #[test]
 fn drift_policy_triggers_background_refit_and_resets_counters() {
     let rt = Runtime::new(2);

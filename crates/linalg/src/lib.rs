@@ -11,7 +11,7 @@
 //!   [`dsyrk`], [`dtrsm`] (all four `Lower` variants).
 //! * LAPACK-style factorizations: blocked Cholesky [`dpotrf`], Householder QR
 //!   ([`dgeqrf`]/[`dorgqr`]), one-sided Jacobi SVD [`jacobi_svd`], and the
-//!   adaptive randomized SVD [`rsvd()`] used by TLR compression.
+//!   adaptive randomized SVD [`rsvd_cut`] used by TLR compression.
 //!
 //! Dimensions are validated with `assert!` at public entry points; inner loops
 //! rely on the validated bounds.
@@ -28,12 +28,12 @@ pub mod svd;
 
 pub use blas1::{axpy, dot, iamax, nrm2, scal};
 pub use blas3::{dsyrk, dtrsm, Side};
-pub use chol::{chol_append, chol_rank1_update, chol_remove, dpotf2, dpotrf};
+pub use chol::{chol_append, chol_remove, dpotf2, dpotrf};
 pub use gemm::{dgemm, gemv, ger, Trans};
 pub use mat::Mat;
 pub use norms::{frobenius_norm, inf_norm, max_abs, one_norm};
 pub use qr::{dgeqrf, dorgqr};
-pub use rsvd::{rsvd, rsvd_cut, RsvdOptions};
+pub use rsvd::rsvd_cut;
 pub use svd::{jacobi_svd, truncation_rank, truncation_rank_cut, Cutoff, SvdResult};
 
 /// Errors produced by the factorization routines.

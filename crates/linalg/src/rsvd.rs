@@ -12,54 +12,25 @@ use crate::svd::{jacobi_svd, truncation_rank_cut, Cutoff, SvdResult};
 use crate::LinalgError;
 use exa_util::Rng;
 
-/// Tuning knobs for [`rsvd`].
-#[derive(Clone, Copy, Debug)]
-pub struct RsvdOptions {
-    /// Extra sketch columns beyond the current rank guess.
-    pub oversample: usize,
-    /// Subspace (power) iterations; 1 is enough for covariance tiles whose
-    /// spectra already decay quickly.
-    pub power_iters: usize,
-    /// Starting rank guess for the adaptive loop.
-    pub initial_rank: usize,
-}
+/// Extra sketch columns beyond the current rank guess.
+const OVERSAMPLE: usize = 10;
+/// Subspace (power) iterations; 1 is enough for covariance tiles whose
+/// spectra already decay quickly.
+const POWER_ITERS: usize = 1;
+/// Starting rank guess for the adaptive loop.
+const INITIAL_RANK: usize = 16;
 
-impl Default for RsvdOptions {
-    fn default() -> Self {
-        RsvdOptions {
-            oversample: 10,
-            power_iters: 1,
-            initial_rank: 16,
-        }
-    }
-}
-
-/// Randomized SVD of the `m × n` matrix `a` truncated at relative 2-norm
-/// accuracy `eps` (`σ_k ≤ eps · σ_0` cut, see [`crate::truncation_rank`]).
+/// Randomized SVD of the `m × n` matrix `a` truncated at `cut` (the TLR
+/// compressors use [`Cutoff::Absolute`], HiCMA's fixed-accuracy semantics).
 ///
 /// Falls back to the exact Jacobi SVD when the adaptive sketch grows past half
 /// the small dimension, so the result is reliable even for full-rank inputs.
-pub fn rsvd(
-    m: usize,
-    n: usize,
-    a: &[f64],
-    lda: usize,
-    eps: f64,
-    opts: RsvdOptions,
-    rng: &mut Rng,
-) -> Result<SvdResult, LinalgError> {
-    rsvd_cut(m, n, a, lda, Cutoff::Relative(eps), opts, rng)
-}
-
-/// [`rsvd`] with an explicit [`Cutoff`] (the TLR compressors use
-/// [`Cutoff::Absolute`], HiCMA's fixed-accuracy semantics).
 pub fn rsvd_cut(
     m: usize,
     n: usize,
     a: &[f64],
     lda: usize,
     cut: Cutoff,
-    opts: RsvdOptions,
     rng: &mut Rng,
 ) -> Result<SvdResult, LinalgError> {
     if m == 0 || n == 0 {
@@ -73,7 +44,7 @@ pub fn rsvd_cut(
     }
     assert!(lda >= m, "lda too small");
     let minmn = m.min(n);
-    let mut l = (opts.initial_rank + opts.oversample).min(minmn);
+    let mut l = (INITIAL_RANK + OVERSAMPLE).min(minmn);
     loop {
         if l * 2 >= minmn {
             // Sketching no longer pays off; compute exactly.
@@ -102,7 +73,7 @@ pub fn rsvd_cut(
             m,
         );
         // Power iterations with re-orthonormalization for stability.
-        for _ in 0..opts.power_iters {
+        for _ in 0..POWER_ITERS {
             orthonormalize(m, l, &mut y);
             let mut z = vec![0.0f64; n * l];
             dgemm(
@@ -221,16 +192,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(1);
         let spectrum = [10.0, 5.0, 1.0];
         let a = matrix_with_spectrum(60, 50, &spectrum, &mut rng);
-        let r = rsvd(
-            60,
-            50,
-            a.as_slice(),
-            60,
-            1e-9,
-            RsvdOptions::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let r = rsvd_cut(60, 50, a.as_slice(), 60, Cutoff::Relative(1e-9), &mut rng).unwrap();
         assert!(r.rank() >= 3);
         let rec = r.reconstruct();
         assert!(rel_fro_diff(&rec, a.as_slice()) < 1e-8);
@@ -247,16 +209,7 @@ mod tests {
         let spectrum: Vec<f64> = (0..30).map(|k| (2.0f64).powi(-k)).collect();
         let a = matrix_with_spectrum(80, 80, &spectrum, &mut rng);
         for eps in [1e-2, 1e-4, 1e-6] {
-            let r = rsvd(
-                80,
-                80,
-                a.as_slice(),
-                80,
-                eps,
-                RsvdOptions::default(),
-                &mut rng,
-            )
-            .unwrap();
+            let r = rsvd_cut(80, 80, a.as_slice(), 80, Cutoff::Relative(eps), &mut rng).unwrap();
             let rec = r.reconstruct();
             let err = rel_fro_diff(&rec, a.as_slice());
             assert!(err < eps * 20.0, "eps={eps}: err={err}, rank={}", r.rank());
@@ -277,13 +230,12 @@ mod tests {
         let mut rng = Rng::seed_from_u64(3);
         let spectrum: Vec<f64> = (0..40).map(|k| 1.0 + (40 - k) as f64).collect();
         let a = matrix_with_spectrum(200, 150, &spectrum, &mut rng);
-        let r = rsvd(
+        let r = rsvd_cut(
             200,
             150,
             a.as_slice(),
             200,
-            1e-10,
-            RsvdOptions::default(),
+            Cutoff::Relative(1e-10),
             &mut rng,
         )
         .unwrap();
@@ -295,16 +247,7 @@ mod tests {
     fn full_rank_falls_back_to_exact() {
         let mut rng = Rng::seed_from_u64(4);
         let a = Mat::gaussian(30, 30, &mut rng);
-        let r = rsvd(
-            30,
-            30,
-            a.as_slice(),
-            30,
-            1e-14,
-            RsvdOptions::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let r = rsvd_cut(30, 30, a.as_slice(), 30, Cutoff::Relative(1e-14), &mut rng).unwrap();
         assert_eq!(r.rank(), 30);
         assert!(rel_fro_diff(&r.reconstruct(), a.as_slice()) < 1e-10);
     }
@@ -312,7 +255,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let mut rng = Rng::seed_from_u64(5);
-        let r = rsvd(0, 4, &[], 1, 1e-6, RsvdOptions::default(), &mut rng).unwrap();
+        let r = rsvd_cut(0, 4, &[], 1, Cutoff::Relative(1e-6), &mut rng).unwrap();
         assert_eq!(r.rank(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! One-sided Jacobi singular value decomposition.
 //!
 //! Robust, simple, and accurate for the tile-sized problems (`nb ≲ 1000`) that
-//! TLR compression produces. The randomized path ([`crate::rsvd()`]) uses this
+//! TLR compression produces. The randomized path ([`crate::rsvd_cut`]) uses this
 //! as its inner small-factorization, and the compression tests use it as the
 //! reference truth.
 

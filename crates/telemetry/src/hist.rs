@@ -27,7 +27,7 @@
 //! but never loses or invents counts — the stress test pins
 //! `total recorded == sum of bucket counts` after the writers join.
 
-use exa_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use exa_check::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Subdivisions per power of two (`2^SUB_BITS`).
@@ -42,23 +42,6 @@ pub(crate) const BUCKETS: usize = (GROUPS * SUBS) as usize; // 1920
 /// from the histogram are at most this fraction above the exact sample
 /// value (they report the bucket's upper bound).
 pub const MAX_RELATIVE_ERROR: f64 = 1.0 / SUBS as f64;
-
-/// Global telemetry kill-switch (see [`set_enabled`]).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns all histogram/slow-ring recording on or off, process-wide.
-///
-/// Disabled recording is a relaxed load plus an early return; snapshots and
-/// already-recorded data are unaffected. The `serve_wire` bench uses this
-/// to measure the cost of instrumentation itself.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether recording is currently enabled (default: `true`).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Bucket index for a nanosecond value. Total over all of `u64`.
 #[inline]
@@ -116,8 +99,7 @@ impl Histogram {
         }
     }
 
-    /// Records one duration (saturating to `u64::MAX` nanoseconds). A no-op
-    /// while telemetry is disabled ([`set_enabled`]).
+    /// Records one duration (saturating to `u64::MAX` nanoseconds).
     #[inline]
     pub fn record(&self, d: Duration) {
         self.record_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
@@ -126,9 +108,6 @@ impl Histogram {
     /// Records one raw nanosecond value.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        if !enabled() {
-            return;
-        }
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -263,20 +242,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// The kill-switch is process-global, so in-crate tests that *record* must
-/// not overlap the one test that toggles it: recorders take the read half,
-/// the toggler the write half.
-#[cfg(test)]
-pub(crate) mod testgate {
-    pub static GATE: std::sync::RwLock<()> = std::sync::RwLock::new(());
-}
-
 /// Model-checked invariants, explored under `RUSTFLAGS="--cfg exa_check"`
 /// with `cargo test -p exa-telemetry --lib check_models`. See the exa-check
 /// crate docs for what the model does (and does not) verify.
 #[cfg(all(test, exa_check))]
 mod check_models {
-    use super::testgate::GATE;
     use super::*;
     use exa_check::sync::Arc;
 
@@ -286,7 +256,6 @@ mod check_models {
     /// writers join, no count or nanosecond may be lost.
     #[test]
     fn check_concurrent_record_and_merge_totals() {
-        let _recording = GATE.read().unwrap();
         let cfg = exa_check::Config {
             max_iterations: 3_000,
             ..Default::default()
@@ -329,7 +298,6 @@ mod check_models {
 
 #[cfg(test)]
 mod tests {
-    use super::testgate::GATE;
     use super::*;
     use crate::quantile::quantile;
 
@@ -371,7 +339,6 @@ mod tests {
 
     #[test]
     fn quantiles_track_recorded_values() {
-        let _recording = GATE.read().unwrap();
         let h = Histogram::new();
         for us in 1..=1000u64 {
             h.record_ns(us * 1_000); // 1µs .. 1ms, uniform
@@ -392,7 +359,6 @@ mod tests {
 
     #[test]
     fn histogram_p99_agrees_with_exact_p99_on_a_lognormal_sample() {
-        let _recording = GATE.read().unwrap();
         // Satellite (a): the histogram's p99 must agree with the exact
         // type-7 p99 within the documented bucket error. Lognormal via
         // Box-Muller from a deterministic xorshift stream.
@@ -426,7 +392,6 @@ mod tests {
 
     #[test]
     fn concurrent_recording_never_loses_counts() {
-        let _recording = GATE.read().unwrap();
         // Satellite (d): 8 threads record concurrently while a 9th takes
         // snapshots and merges them; afterwards the bucket sum must equal
         // the total recorded exactly.
@@ -463,7 +428,6 @@ mod tests {
 
     #[test]
     fn merge_adds_counts_and_sums() {
-        let _recording = GATE.read().unwrap();
         let a = Histogram::new();
         let b = Histogram::new();
         a.record_ns(10);
@@ -474,17 +438,6 @@ mod tests {
         assert_eq!(m.count(), 3);
         assert_eq!(m.buckets()[bucket_index(10)], 2);
         assert!((m.sum_seconds() - 1.00002e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_recording_is_a_no_op() {
-        let _exclusive = GATE.write().unwrap();
-        let h = Histogram::new();
-        set_enabled(false);
-        h.record_ns(42);
-        set_enabled(true);
-        h.record_ns(42);
-        assert_eq!(h.snapshot().count(), 1);
     }
 
     #[test]

@@ -29,13 +29,6 @@
 //!   stat tables, labelled gauges and cumulative histogram series, backing
 //!   the `GET /metrics` endpoints on both `WireServer` and `FleetRouter`.
 //!
-//! # Overhead kill-switch
-//!
-//! [`set_enabled`]`(false)` turns every [`Histogram::record`] and
-//! [`SlowRing::record`] into a single relaxed load and an early return.
-//! The `serve_wire` bench uses this to measure instrumented vs.
-//! uninstrumented closed-loop throughput and gates the overhead at ≥ 0.95×.
-//!
 //! # Example
 //!
 //! ```
@@ -59,7 +52,7 @@ pub mod slow;
 mod stat;
 pub mod trace;
 
-pub use hist::{enabled, set_enabled, Histogram, HistogramSnapshot, MAX_RELATIVE_ERROR};
+pub use hist::{Histogram, HistogramSnapshot, MAX_RELATIVE_ERROR};
 pub use prom::{escape_label, validate_exposition, PromText};
 pub use quantile::{quantile, quantile_sorted};
 pub use slow::{SlowEntry, SlowRing, DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_WINDOW};

@@ -396,14 +396,12 @@ fn parse_sample(line: &str) -> Result<(String, Vec<(String, String)>, f64), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::testgate::GATE;
     use crate::hist::Histogram;
 
     #[test]
     fn golden_exposition_document() {
         // A deterministic mixed document: this is the reference rendering
         // the endpoint tests and CI grammar checks are anchored to.
-        let _recording = GATE.read().unwrap();
         let hist = Histogram::new();
         hist.record_ns(900); // below the first rung
         hist.record_ns(30_000); // 25µs < v ≤ 50µs rung
@@ -468,7 +466,6 @@ exa_demo_node_up{node=\"a\\\"b\\\\c\\n\"} 1
 
     #[test]
     fn labeled_histogram_series_validate() {
-        let _recording = GATE.read().unwrap();
         let a = Histogram::new();
         let b = Histogram::new();
         a.record_ns(10_000);

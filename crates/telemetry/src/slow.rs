@@ -97,12 +97,8 @@ impl SlowRing {
     }
 
     /// Considers one finished request for the ring. `entry.seq` is
-    /// assigned here; the caller's value is ignored. A no-op while
-    /// telemetry is disabled ([`crate::set_enabled`]).
+    /// assigned here; the caller's value is ignored.
     pub fn record(&self, mut entry: SlowEntry) {
-        if !crate::hist::enabled() {
-            return;
-        }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         entry.seq = seq;
         // Lock-free steady state: the ring is full, this request is faster
@@ -162,7 +158,6 @@ impl SlowRing {
 #[cfg(all(test, exa_check))]
 mod check_models {
     use super::*;
-    use crate::hist::testgate::GATE;
     use exa_check::sync::Arc;
 
     fn entry(total_ns: u64) -> SlowEntry {
@@ -185,7 +180,6 @@ mod check_models {
     /// numbering (and so `recorded()`) must never lose an increment.
     #[test]
     fn check_fast_reject_never_drops_the_maximum() {
-        let _recording = GATE.read().unwrap();
         let cfg = exa_check::Config {
             max_iterations: 2_500,
             ..Default::default()
@@ -220,7 +214,6 @@ mod check_models {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::testgate::GATE;
 
     fn entry(total_ns: u64) -> SlowEntry {
         SlowEntry {
@@ -237,7 +230,6 @@ mod tests {
 
     #[test]
     fn keeps_the_slowest_and_sorts_descending() {
-        let _recording = GATE.read().unwrap();
         let ring = SlowRing::new(3, 100);
         for t in [10, 50, 20, 40, 30, 60] {
             ring.record(entry(t));
@@ -252,7 +244,6 @@ mod tests {
 
     #[test]
     fn equal_total_prefers_the_newer_entry() {
-        let _recording = GATE.read().unwrap();
         let ring = SlowRing::new(1, 100);
         ring.record(entry(10));
         ring.record(entry(10));
@@ -261,7 +252,6 @@ mod tests {
 
     #[test]
     fn window_expires_stale_outliers() {
-        let _recording = GATE.read().unwrap();
         let ring = SlowRing::new(2, 4);
         ring.record(entry(1_000_000)); // cold-start outlier, seq 0
         for _ in 0..5 {

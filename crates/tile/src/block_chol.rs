@@ -20,13 +20,8 @@ pub fn block_potrf(a: &mut Mat, num_workers: usize) -> Result<(), LinalgError> {
     block_potrf_with_panel(a, num_workers, DEFAULT_PB)
 }
 
-/// [`block_potrf`] with an explicit panel width (exposed for the nb-sweep
-/// ablation bench).
-pub fn block_potrf_with_panel(
-    a: &mut Mat,
-    num_workers: usize,
-    pb: usize,
-) -> Result<(), LinalgError> {
+/// [`block_potrf`] with an explicit panel width.
+fn block_potrf_with_panel(a: &mut Mat, num_workers: usize, pb: usize) -> Result<(), LinalgError> {
     let n = a.nrows();
     assert_eq!(n, a.ncols(), "Cholesky needs a square matrix");
     let pb = pb.max(8);

@@ -25,7 +25,7 @@ pub mod ops;
 pub mod solve;
 pub mod view;
 
-pub use block_chol::{block_potrf, block_potrf_with_panel};
+pub use block_chol::block_potrf;
 pub use dense_chol::{tile_logdet, tile_potrf};
 pub use layout::{Tile, TileMatrix};
 pub use ops::{tile_symm_lower, tile_trmm_lower};

@@ -14,7 +14,7 @@
 
 use crate::lr::LrTile;
 use exa_covariance::CovarianceKernel;
-use exa_linalg::{jacobi_svd, rsvd_cut, truncation_rank_cut, Cutoff, LinalgError, RsvdOptions};
+use exa_linalg::{jacobi_svd, rsvd_cut, truncation_rank_cut, Cutoff, LinalgError};
 use exa_util::Rng;
 
 /// Which algorithm compresses a tile to the accuracy threshold.
@@ -58,15 +58,7 @@ pub fn compress_dense(
             Ok(LrTile::from_svd(&svd))
         }
         CompressionMethod::Rsvd => {
-            let svd = rsvd_cut(
-                m,
-                n,
-                a,
-                lda,
-                Cutoff::Absolute(eps),
-                RsvdOptions::default(),
-                rng,
-            )?;
+            let svd = rsvd_cut(m, n, a, lda, Cutoff::Absolute(eps), rng)?;
             Ok(LrTile::from_svd(&svd))
         }
         CompressionMethod::Aca => {

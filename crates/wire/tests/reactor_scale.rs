@@ -24,8 +24,13 @@ use exa_util::Rng;
 use exa_wire::{WireClient, WireConfig, WireServer, WireStats};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// The idle-fleet test asserts on the whole process's thread count, so the
+/// tests in this binary take turns: a sibling booting its own server
+/// mid-measurement would otherwise read as per-connection growth.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn fitted(n: usize, seed: u64) -> Arc<FittedModel<MaternKernel>> {
     let rt = Runtime::new(2);
@@ -152,6 +157,7 @@ fn healthz_roundtrip(stream: &mut TcpStream) {
 /// prove they are still live.
 #[test]
 fn reactor_holds_large_idle_keep_alive_fleet_with_bounded_threads() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let fleet_size = env_usize("EXA_WIRE_SOAK_CONNS", 256);
     let server = boot(WireConfig {
         max_connections: fleet_size + 64,
@@ -223,6 +229,7 @@ fn reactor_holds_large_idle_keep_alive_fleet_with_bounded_threads() {
 /// serves predictions and has contained zero panics.
 #[test]
 fn abuse_soak_leaves_the_server_healthy() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let iters = env_usize("EXA_WIRE_SOAK_ITERS", 2);
     let server = boot(WireConfig::default());
     let addr = server.local_addr();
