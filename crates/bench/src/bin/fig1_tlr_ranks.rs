@@ -1,6 +1,7 @@
 //! Figure 1 — TLR representation of a covariance matrix Σ(θ) with fixed
 //! accuracy: per-tile ranks, rank statistics, and memory footprint across
-//! accuracy thresholds.
+//! accuracy thresholds, compressed by the production compressor (rounded
+//! ACA).
 //!
 //! ```text
 //! cargo run --release -p exa-bench --bin fig1_tlr_ranks [--full]
@@ -39,15 +40,8 @@ fn main() {
     ]);
     for eps in [1e-5, 1e-7, 1e-9, 1e-12] {
         let sw = Stopwatch::start();
-        let tlr = TlrMatrix::from_kernel(
-            &kernel,
-            nb,
-            eps,
-            CompressionMethod::Rsvd,
-            args.workers,
-            args.seed,
-        )
-        .expect("assembly");
+        let tlr = TlrMatrix::from_kernel(&kernel, nb, eps, CompressionMethod::Aca, args.workers, 0)
+            .expect("assembly");
         let dt = sw.elapsed_secs();
         let stats = tlr.rank_stats();
         table.row(vec![
@@ -64,15 +58,8 @@ fn main() {
     println!("{}", table.render());
 
     // Per-tile rank map at 1e-9 (the figure's visual).
-    let tlr = TlrMatrix::from_kernel(
-        &kernel,
-        nb,
-        1e-9,
-        CompressionMethod::Rsvd,
-        args.workers,
-        args.seed,
-    )
-    .expect("assembly");
+    let tlr = TlrMatrix::from_kernel(&kernel, nb, 1e-9, CompressionMethod::Aca, args.workers, 0)
+        .expect("assembly");
     println!("Per-tile ranks at accuracy 1e-9 (row i, col j; D = dense diagonal):");
     for i in 0..tlr.nt {
         let mut line = String::new();

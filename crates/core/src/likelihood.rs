@@ -25,16 +25,17 @@ pub enum Backend {
     FullBlock,
     /// Dense tile Cholesky on the task runtime (machine-precision reference).
     FullTile,
-    /// Tile Low-Rank factorization at absolute accuracy `eps`.
+    /// Tile Low-Rank factorization at absolute accuracy `eps`. `method` is
+    /// [`CompressionMethod::Aca`] in production; `Svd` is the test reference.
     Tlr { eps: f64, method: CompressionMethod },
 }
 
 impl Backend {
-    /// The TLR backend with the default (randomized SVD) compressor.
+    /// The TLR backend with the production compressor (ACA, rounded).
     pub fn tlr(eps: f64) -> Backend {
         Backend::Tlr {
             eps,
-            method: CompressionMethod::Rsvd,
+            method: CompressionMethod::Aca,
         }
     }
 }
@@ -55,7 +56,8 @@ impl std::fmt::Display for Backend {
 pub struct LikelihoodConfig {
     /// Tile size (the paper tunes 560 dense / 1900 TLR at cluster scale).
     pub nb: usize,
-    /// Random seed for the randomized compressor streams.
+    /// Ignored: every compressor is deterministic. Kept only so existing
+    /// callers compile.
     pub seed: u64,
 }
 
@@ -228,5 +230,60 @@ mod tests {
             -0.5 * n * (2.0 * std::f64::consts::PI).ln() - 0.5 * ll.logdet - 0.5 * ll.quadratic;
         assert!((ll.value - recomposed).abs() < 1e-12);
         assert!(ll.quadratic > 0.0);
+    }
+
+    /// Forwards to a Matérn kernel and records every `fill_tile` extent.
+    struct FillRecorder {
+        inner: MaternKernel,
+        fills: std::sync::Mutex<Vec<[usize; 4]>>,
+    }
+
+    impl CovarianceKernel for FillRecorder {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn entry(&self, i: usize, j: usize) -> f64 {
+            self.inner.entry(i, j)
+        }
+
+        fn fill_tile(&self, r: usize, nr: usize, c: usize, nc: usize, out: &mut [f64], ld: usize) {
+            self.fills.lock().unwrap().push([r, nr, c, nc]);
+            self.inner.fill_tile(r, nr, c, nc, out, ld);
+        }
+    }
+
+    #[test]
+    fn production_tlr_never_fills_a_dense_off_diagonal_tile() {
+        let (inner, _, _) = problem(12, MaternParams::new(1.0, 0.1, 0.5), 6);
+        let Backend::Tlr { eps, method } = Backend::tlr(1e-7) else {
+            unreachable!("Backend::tlr builds the TLR backend")
+        };
+        let nb = 24;
+        let kernel = FillRecorder {
+            inner,
+            fills: Default::default(),
+        };
+        exa_tlr::TlrMatrix::from_kernel(&kernel, nb, eps, method, 2, 0).unwrap();
+        let fills = kernel.fills.into_inner().unwrap();
+        // A fill inside one diagonal tile is fine; anything touching an
+        // off-diagonal tile may cover at most one row or one column of it.
+        let dense_off_diagonal: Vec<_> = fills
+            .iter()
+            .filter(|&&[r, nr, c, nc]| {
+                let tiles = [r, r + nr - 1, c, c + nc - 1].map(|x| x / nb);
+                tiles.iter().any(|&t| t != tiles[0]) && nr > 1 && nc > 1
+            })
+            .collect();
+        assert!(
+            dense_off_diagonal.is_empty(),
+            "{} dense off-diagonal fills, e.g. {:?}",
+            dense_off_diagonal.len(),
+            dense_off_diagonal.first()
+        );
+        assert!(
+            fills.len() >= kernel.inner.len().div_ceil(nb),
+            "diagonal fills recorded"
+        );
     }
 }

@@ -270,7 +270,7 @@ impl<K: ParamCovariance> GeoModelBuilder<K> {
         self
     }
 
-    /// Full likelihood tuning block (tile size + compressor seed).
+    /// Full likelihood tuning block (tile size + the ignored seed).
     pub fn config(mut self, config: LikelihoodConfig) -> Self {
         self.config = config;
         self
@@ -282,7 +282,8 @@ impl<K: ParamCovariance> GeoModelBuilder<K> {
         self
     }
 
-    /// Seed for the randomized compressor streams.
+    /// Ignored: every compressor is deterministic. Kept only so existing
+    /// callers compile.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
@@ -310,6 +311,16 @@ impl<K: ParamCovariance> GeoModelBuilder<K> {
                 "nugget must be non-negative, got {}",
                 self.nugget
             )));
+        }
+        if self.config.nb == 0 {
+            return Err(ModelError::Shape("tile size must be positive".into()));
+        }
+        if let Backend::Tlr { eps, .. } = self.backend {
+            if !(eps > 0.0 && eps.is_finite()) {
+                return Err(ModelError::Shape(format!(
+                    "TLR accuracy threshold must be positive and finite, got {eps}"
+                )));
+            }
         }
         Ok(GeoModel {
             locations,
@@ -1145,6 +1156,28 @@ mod tests {
             .locations(locs)
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn builder_rejects_bad_tlr_threshold_and_tile_size() {
+        // Each of these used to build, then panic inside the first
+        // factorization (`at_params`/`fit`).
+        let locs = Arc::new(vec![Location::new(0.0, 0.0), Location::new(1.0, 1.0)]);
+        let builder = || GeoModel::<MaternKernel>::builder().locations(locs.clone());
+        for eps in [0.0, -1e-7, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    builder().backend(Backend::tlr(eps)).build(),
+                    Err(ModelError::Shape(_))
+                ),
+                "eps = {eps}"
+            );
+        }
+        assert!(matches!(
+            builder().tile_size(0).build(),
+            Err(ModelError::Shape(_))
+        ));
+        assert!(builder().backend(Backend::tlr(1e-7)).build().is_ok());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * Level-3 BLAS: [`dgemm`] (packed, register-blocked micro-kernel),
 //!   [`dsyrk`], [`dtrsm`] (all four `Lower` variants).
 //! * LAPACK-style factorizations: blocked Cholesky [`dpotrf`], Householder QR
-//!   ([`dgeqrf`]/[`dorgqr`]), one-sided Jacobi SVD [`jacobi_svd`], and the
-//!   adaptive randomized SVD [`rsvd_cut`] used by TLR compression.
+//!   ([`dgeqrf`]/[`dorgqr`]), and one-sided Jacobi SVD [`jacobi_svd`] with
+//!   the absolute [`truncation_rank`] cut that TLR rounding applies to it.
 //!
 //! Dimensions are validated with `assert!` at public entry points; inner loops
 //! rely on the validated bounds.
@@ -23,7 +23,6 @@ pub mod gemm;
 pub mod mat;
 pub mod norms;
 pub mod qr;
-pub mod rsvd;
 pub mod svd;
 
 pub use blas1::{axpy, dot, iamax, nrm2, scal};
@@ -33,8 +32,7 @@ pub use gemm::{dgemm, gemv, ger, Trans};
 pub use mat::Mat;
 pub use norms::{frobenius_norm, inf_norm, max_abs, one_norm};
 pub use qr::{dgeqrf, dorgqr};
-pub use rsvd::rsvd_cut;
-pub use svd::{jacobi_svd, truncation_rank, truncation_rank_cut, Cutoff, SvdResult};
+pub use svd::{jacobi_svd, truncation_rank, SvdResult};
 
 /// Errors produced by the factorization routines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

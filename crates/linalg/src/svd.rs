@@ -1,8 +1,8 @@
 //! One-sided Jacobi singular value decomposition.
 //!
 //! Robust, simple, and accurate for the tile-sized problems (`nb ≲ 1000`) that
-//! TLR compression produces. The randomized path ([`crate::rsvd_cut`]) uses this
-//! as its inner small-factorization, and the compression tests use it as the
+//! TLR compression produces. TLR rounding runs it on the small `r × r` core of
+//! a low-rank tile, and the compression tests use it on whole tiles as the
 //! reference truth.
 
 use crate::blas1::{dot, nrm2};
@@ -183,42 +183,17 @@ fn two_cols(buf: &mut [f64], rows: usize, p: usize, q: usize) -> (&mut [f64], &m
     (&mut head[p * rows..p * rows + rows], &mut tail[..rows])
 }
 
-/// Truncation threshold for singular-value cuts.
+/// Number of singular values to keep under HiCMA's fixed-accuracy cut: the
+/// smallest `k` with `s[k] ≤ eps` (all of them when none qualify, 0 for a
+/// zero/empty spectrum).
 ///
-/// HiCMA's "fixed accuracy" mode drops singular values below an **absolute**
-/// threshold, which is what makes far-field covariance tiles collapse to
-/// near-zero rank; a **relative** cut (against `σ₀` of the same tile) is the
-/// scale-invariant alternative used where the matrix scale is unknown.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Cutoff {
-    /// Keep `σ_k > eps · σ₀`.
-    Relative(f64),
-    /// Keep `σ_k > eps`.
-    Absolute(f64),
-}
-
-/// Number of singular values to keep under the given cutoff: the smallest
-/// `k` with `s[k] ≤ cut` (all of them when none qualify, 0 for a zero/empty
-/// spectrum).
-pub fn truncation_rank_cut(s: &[f64], cut: Cutoff) -> usize {
-    if s.is_empty() || s[0] <= 0.0 {
-        return 0;
-    }
-    let t = match cut {
-        Cutoff::Relative(eps) => eps * s[0],
-        Cutoff::Absolute(eps) => eps,
-    };
-    s.iter().position(|&x| x <= t).unwrap_or(s.len())
-}
-
-/// Number of singular values to keep under a relative 2-norm threshold:
-/// the smallest `k` with `s[k] <= eps * s[0]` (all of them when none
-/// qualify; 0 only for a zero/empty spectrum).
+/// The threshold is **absolute**, not relative to `σ₀`: that is what makes
+/// far-field covariance tiles collapse to rank 0.
 pub fn truncation_rank(s: &[f64], eps: f64) -> usize {
     if s.is_empty() || s[0] <= 0.0 {
         return 0;
     }
-    truncation_rank_cut(s, Cutoff::Relative(eps)).max(1)
+    s.iter().position(|&x| x <= eps).unwrap_or(s.len())
 }
 
 #[cfg(test)]
@@ -307,8 +282,11 @@ mod tests {
         let s = [10.0, 5.0, 1.0, 1e-8];
         assert_eq!(truncation_rank(&s, 1e-12), 4);
         assert_eq!(truncation_rank(&s, 1e-6), 3);
-        assert_eq!(truncation_rank(&s, 0.2), 2);
-        assert_eq!(truncation_rank(&s, 0.9), 1);
+        assert_eq!(truncation_rank(&s, 2.0), 2);
+        assert_eq!(truncation_rank(&s, 9.0), 1);
+        // Absolute, not relative to σ₀: a cut above σ₀ keeps nothing.
+        assert_eq!(truncation_rank(&s, 10.0), 0);
+        assert_eq!(truncation_rank(&[0.0, 0.0], 1e-9), 0);
         assert_eq!(truncation_rank(&[], 0.5), 0);
     }
 

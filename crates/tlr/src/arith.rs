@@ -13,7 +13,7 @@
 
 use crate::lr::LrTile;
 use exa_linalg::{
-    dgemm, dgeqrf, dorgqr, dtrsm, jacobi_svd, truncation_rank_cut, Cutoff, LinalgError, Side, Trans,
+    dgemm, dgeqrf, dorgqr, dtrsm, jacobi_svd, truncation_rank, LinalgError, Side, Trans,
 };
 
 /// `A ← A · L⁻ᵀ` for a low-rank tile and the dense Cholesky factor `L`
@@ -183,7 +183,9 @@ pub fn lr_gemm(c: &mut LrTile, a: &LrTile, b: &LrTile, eps: f64) -> Result<(), L
 }
 
 /// Rounds a low-rank tile down to the smallest rank meeting the absolute
-/// accuracy `eps` (same fixed-accuracy semantics as the compressors).
+/// accuracy `eps` (same fixed-accuracy semantics as the compressors). It is
+/// also the last step of [`crate::aca`], so no compressed tile is stored at
+/// more than the rank it needs.
 ///
 /// QR-factors both skinny sides, then SVD-truncates the small `r × r` core:
 /// `U Vᵀ = Q_u (R_u R_vᵀ) Q_vᵀ`. Falls back to a dense SVD when the current
@@ -199,7 +201,7 @@ pub fn recompress(t: &mut LrTile, eps: f64) -> Result<(), LinalgError> {
         // Dense fallback: materialize and re-compress exactly.
         let dense = t.to_dense();
         let mut svd = jacobi_svd(m, n, &dense, m)?;
-        let k = truncation_rank_cut(&svd.s, Cutoff::Absolute(eps));
+        let k = truncation_rank(&svd.s, eps);
         svd.truncate(k);
         *t = LrTile::from_svd(&svd);
         return Ok(());
@@ -244,7 +246,7 @@ pub fn recompress(t: &mut LrTile, eps: f64) -> Result<(), LinalgError> {
         r,
     );
     let mut svd = jacobi_svd(r, r, &core, r)?;
-    let k = truncation_rank_cut(&svd.s, Cutoff::Absolute(eps));
+    let k = truncation_rank(&svd.s, eps);
     svd.truncate(k);
     if k == 0 {
         *t = LrTile::zero(m, n);

@@ -5,8 +5,9 @@
 //! addition to ExaGeoStat. It provides:
 //!
 //! * [`LrTile`] — the `U·Vᵀ` low-rank tile with growable rank.
-//! * [`compress_dense`]/[`compress_kernel_block`] — fixed-accuracy tile
-//!   compression by exact SVD, randomized SVD, or ACA
+//! * [`compress_kernel_block`]/[`compress_dense`] — fixed-accuracy tile
+//!   compression: [`aca`] rounded by [`recompress`], which reads only the
+//!   entries it pivots on, or the exact-SVD reference
 //!   ([`CompressionMethod`]).
 //! * [`TlrMatrix`] — symmetric TLR storage (dense diagonal + compressed
 //!   lower tiles) with rank statistics and memory accounting (Figure 1).

@@ -48,15 +48,16 @@ impl TlrMatrix {
     /// Assembles the TLR covariance matrix from a kernel: dense diagonal
     /// tiles, compressed strictly-lower tiles, tiles processed in parallel.
     ///
-    /// `seed` fixes the randomized compressor streams (one split per tile),
-    /// so assembly is deterministic for any `num_workers`.
+    /// Both compressors are deterministic, so the result is bit-identical
+    /// for any `num_workers`. `_seed` is ignored; it is kept only so existing
+    /// callers compile.
     pub fn from_kernel<K: CovarianceKernel>(
         kernel: &K,
         nb: usize,
         eps: f64,
         method: CompressionMethod,
         num_workers: usize,
-        seed: u64,
+        _seed: u64,
     ) -> Result<Self, LinalgError> {
         assert!(nb > 0, "tile size must be positive");
         assert!(eps > 0.0, "accuracy threshold must be positive");
@@ -88,7 +89,7 @@ impl TlrMatrix {
             });
         }
 
-        // Strictly-lower tiles (compress in parallel, deterministic seeds).
+        // Strictly-lower tiles (compressed in parallel).
         let coords: Vec<(usize, usize)> = (0..nt)
             .flat_map(|j| (j + 1..nt).map(move |i| (i, j)))
             .collect();
@@ -100,18 +101,8 @@ impl TlrMatrix {
             let slots_ref = &slots;
             parallel_for(num_workers, coords.len(), 1, move |a, b| {
                 for (idx, &(i, j)) in coords_ref.iter().enumerate().take(b).skip(a) {
-                    let mut rng =
-                        exa_util::Rng::seed_from_u64(seed ^ ((i as u64) << 32 | j as u64));
-                    let r = compress_kernel_block(
-                        kernel,
-                        i * nb,
-                        ext(i),
-                        j * nb,
-                        ext(j),
-                        eps,
-                        method,
-                        &mut rng,
-                    );
+                    let r =
+                        compress_kernel_block(kernel, i * nb, ext(i), j * nb, ext(j), eps, method);
                     slots_ref.lock().unwrap()[idx] = Some(r);
                 }
             });
@@ -357,7 +348,7 @@ mod tests {
     #[test]
     fn compression_beats_dense_storage() {
         let k = kernel(200, 0.03, 3);
-        let tlr = TlrMatrix::from_kernel(&k, 25, 1e-7, CompressionMethod::Rsvd, 4, 5).unwrap();
+        let tlr = TlrMatrix::from_kernel(&k, 25, 1e-7, CompressionMethod::Aca, 4, 5).unwrap();
         assert!(
             tlr.compression_ratio() > 1.2,
             "ratio {}",
@@ -373,11 +364,30 @@ mod tests {
 
     #[test]
     fn deterministic_across_worker_counts() {
+        // The matrix and its factor depend on neither the worker count nor
+        // the (ignored) seed.
         let k = kernel(80, 0.1, 4);
-        let a = TlrMatrix::from_kernel(&k, 20, 1e-7, CompressionMethod::Rsvd, 1, 11).unwrap();
-        let b = TlrMatrix::from_kernel(&k, 20, 1e-7, CompressionMethod::Rsvd, 4, 11).unwrap();
-        let (da, db) = (a.to_dense_symmetric(), b.to_dense_symmetric());
-        assert_eq!(da.as_slice(), db.as_slice());
+        let build = |workers: usize, seed: u64| {
+            let mut a = TlrMatrix::from_kernel(&k, 20, 1e-7, CompressionMethod::Aca, workers, seed)
+                .unwrap();
+            let assembled = a.to_dense_symmetric();
+            crate::tlr_potrf(&mut a, &exa_runtime::Runtime::new(workers)).unwrap();
+            (assembled, crate::tlr_factor_to_dense(&a))
+        };
+        let (a0, l0) = build(1, 11);
+        for (workers, seed) in [(4, 11), (1, 12), (4, 12)] {
+            let (a, l) = build(workers, seed);
+            assert_eq!(
+                a0.as_slice(),
+                a.as_slice(),
+                "{workers} workers, seed {seed}"
+            );
+            assert_eq!(
+                l0.as_slice(),
+                l.as_slice(),
+                "{workers} workers, seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -51,8 +51,8 @@ proptest! {
         let u = Mat::gaussian(m, 3, &mut rng);
         let v = Mat::gaussian(n, 3, &mut rng);
         let a = u.matmul(&v.transposed());
-        for method in [CompressionMethod::Svd, CompressionMethod::Rsvd, CompressionMethod::Aca] {
-            let t = compress_dense(m, n, a.as_slice(), m, eps, method, &mut rng).unwrap();
+        for method in [CompressionMethod::Svd, CompressionMethod::Aca] {
+            let t = compress_dense(m, n, a.as_slice(), m, eps, method).unwrap();
             let err = abs_fro_error(&a, &t);
             // Absolute 2-norm cut at eps ⇒ Frobenius error ≤ √min(m,n)·eps;
             // ACA's heuristic gets a wider constant.
@@ -119,7 +119,7 @@ proptest! {
     ) {
         let kern = covariance_kernel(n, 0.05, seed);
         let tlr = TlrMatrix::from_kernel(
-            &kern, n / 4, 1e-7, CompressionMethod::Rsvd, 2, seed,
+            &kern, n / 4, 1e-7, CompressionMethod::Aca, 2, seed,
         ).unwrap();
         // U+V factors cost at most 2·nb·k ≤ 2·nb·nb per tile = 2× dense.
         prop_assert!(tlr.bytes() <= 2 * tlr.dense_bytes());

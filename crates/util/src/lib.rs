@@ -6,8 +6,8 @@
 //!
 //! Modules:
 //! * [`rng`] — xoshiro256++ PRNG with SplitMix64 seeding, stream splitting and
-//!   Gaussian sampling. Used by every stochastic component (data generation,
-//!   randomized SVD, Monte-Carlo studies).
+//!   Gaussian sampling. Used by every stochastic component (location and
+//!   field generation, Monte-Carlo studies, randomized tests).
 //! * [`stats`] — descriptive statistics: mean, variance, quantiles, and the
 //!   five-number boxplot summaries used to report Figures 6 and 7.
 //! * [`table`] — fixed-width ASCII table rendering for the figure/table
