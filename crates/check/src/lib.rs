@@ -31,8 +31,8 @@
 //!
 //! - Everything the model test touches must synchronize through the facade.
 //!   A facade mutex contended from a non-model thread (e.g. an `exa-runtime`
-//!   worker using `parking_lot` internally) is invisible to the scheduler.
-//!   Pure computation on free threads is fine.
+//!   worker, which locks a plain `std::sync::Mutex`) is invisible to the
+//!   scheduler. Pure computation on free threads is fine.
 //! - Keep bodies tiny: every facade op is a scheduling point, and the
 //!   decision tree is exponential in the number of ops while two or more
 //!   threads are runnable.

@@ -5,12 +5,14 @@
 //! task type, enumeration, tile sets and priorities) is *simulated*: every
 //! task becomes an event with a cost-model duration, executed by one of
 //! `cores_per_node` servers on the node owning its output tile under 2D
-//! block-cyclic ownership, with panel tiles travelling between nodes at
-//! latency + size/bandwidth (transfers to the same destination are cached,
-//! as StarPU-MPI caches received handles). The DAG is never materialized:
-//! task ids, dependency counts and dependents are derived arithmetically
-//! from the `(k, i, j)` structure, so 10⁸-task factorizations fit in memory;
-//! a test checks that arithmetic against the materialized production graph.
+//! block-cyclic ownership, in the executor's order (a node's waiting tasks
+//! sit in an [`exa_runtime::ReadyQueue`]), with panel tiles travelling
+//! between nodes at latency + size/bandwidth (transfers to the same
+//! destination are cached, as StarPU-MPI caches received handles). The DAG
+//! is never materialized: task ids, dependency counts and dependents are
+//! derived arithmetically from the `(k, i, j)` structure, so 10⁸-task
+//! factorizations fit in memory; a test checks that arithmetic against the
+//! materialized production graph.
 //!
 //! Missing points in Figure 4 are out-of-memory cases; [`check_memory`]
 //! reproduces them from per-node resident-set accounting before any
@@ -19,7 +21,7 @@
 use crate::blockcyclic::BlockCyclic;
 use crate::machine::MachineConfig;
 use crate::taskmodel::{CostModel, TaskKind};
-use exa_runtime::Priority;
+use exa_runtime::ReadyQueue;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -257,7 +259,7 @@ impl PartialOrd for Event {
 
 struct Node {
     free_cores: usize,
-    pending: BinaryHeap<(Priority, Reverse<u64>, TaskKind)>, // fifo tick within a priority
+    pending: ReadyQueue<TaskKind>,
     busy_seconds: f64,
 }
 
@@ -293,7 +295,7 @@ pub fn simulate_cholesky(
     let mut nodes: Vec<Node> = (0..machine.nodes)
         .map(|_| Node {
             free_cores: machine.cores_per_node,
-            pending: BinaryHeap::new(),
+            pending: ReadyQueue::default(),
             busy_seconds: 0.0,
         })
         .collect();
@@ -309,7 +311,6 @@ pub fn simulate_cholesky(
     let mut total_flops = 0.0f64;
     let mut busy = 0.0f64;
     let mut executed = 0usize;
-    let mut fifo_tick = 0u64;
 
     while let Some(Reverse(Event { time, kind, task })) = heap.pop() {
         let node_idx = exec_node(task, grid);
@@ -329,9 +330,7 @@ pub fn simulate_cholesky(
                     node,
                 );
             } else {
-                fifo_tick += 1;
-                node.pending
-                    .push((task.priority(), Reverse(fifo_tick), task));
+                node.pending.push(task.priority(), task);
             }
             continue;
         }
@@ -373,7 +372,7 @@ pub fn simulate_cholesky(
         // Free the core; start the best pending task, if any.
         let node = &mut nodes[node_idx];
         node.free_cores += 1;
-        if let Some((_, _, next)) = node.pending.pop() {
+        if let Some(next) = node.pending.pop() {
             node.free_cores -= 1;
             start_task(
                 next,

@@ -15,10 +15,10 @@
 //! tasks to a [`TaskGraph`] and run it; a backend supplies only the kernel
 //! that executes one task on its own storage.
 
+use crate::exec::lock;
 use crate::{Access, ExecStats, Priority, Runtime, TaskGraph};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Tile coordinates `(row, column)` in the lower triangle (`row ≥ column`).
 pub type TileIdx = (usize, usize);
@@ -171,7 +171,7 @@ impl<E> Poison<E> {
     }
 
     fn set(&self, err: E) {
-        self.first.lock().get_or_insert(err);
+        lock(&self.first).get_or_insert(err);
         self.failed.store(true, Ordering::Release);
     }
 }
@@ -215,7 +215,7 @@ pub fn factor<E: Send + 'static>(
         });
     });
     let stats = rt.run(graph);
-    let first = shared.1.first.lock().take();
+    let first = lock(&shared.1.first).take();
     first.map_or(Ok(stats), Err)
 }
 

@@ -1,38 +1,22 @@
-//! Work-stealing execution of [`TaskGraph`]s.
+//! Execution of [`TaskGraph`]s on a pool of workers.
 //!
-//! The executor plays StarPU's role: a pool of workers drains the ready
-//! frontier, decrementing successor counters as tasks retire. Ready tasks go
-//! to the executing worker's local deque (LIFO, cache-friendly "follow the
-//! data" order); idle workers steal FIFO from peers or the global injector.
-//! High-priority tasks (the factorization panel, i.e. the critical path) are
-//! published to a dedicated injector that every worker polls first.
+//! The executor plays StarPU's role: workers drain the ready frontier,
+//! decrementing successor counters as tasks retire. Every ready task waits in
+//! one [`ReadyQueue`] — highest priority first, then release order — kept
+//! under one mutex beside the bodies not yet taken. A worker pops a task and
+//! takes its body under one lock acquisition; a retiring task releases every
+//! successor it made ready under one more. There are no per-worker queues and
+//! no stealing, and the `exa-distsim` simulator models each node with the
+//! same [`ReadyQueue`].
 
-use crate::graph::TaskGraph;
-use crate::trace::{ExecStats, TaskSpan};
-use crossbeam_deque::{Injector, Stealer, Worker as Deque};
-use parking_lot::Mutex;
+use crate::graph::{Priority, TaskGraph};
+use crate::ready::ReadyQueue;
+use crate::trace::ExecStats;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-/// Shared executor configuration.
-#[derive(Clone, Debug)]
-pub struct RuntimeConfig {
-    /// Number of worker threads (including the caller's thread).
-    pub num_workers: usize,
-    /// Record per-task spans (name, worker, start/end) into the stats.
-    pub trace: bool,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            num_workers: default_parallelism(),
-            trace: false,
-        }
-    }
-}
 
 /// Available hardware parallelism (≥ 1).
 pub fn default_parallelism() -> usize {
@@ -41,57 +25,45 @@ pub fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The task-graph executor (StarPU substitute).
-pub struct Runtime {
-    config: RuntimeConfig,
+/// Locks `m`, recovering the data if a holder panicked: no guard here is
+/// held across a task body, so the data is consistent either way.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A task body in its executor slot; the executing worker takes it exactly
-/// once.
-type TaskSlot = Mutex<Option<Box<dyn FnOnce() + Send>>>;
+/// The task-graph executor (StarPU substitute).
+pub struct Runtime {
+    num_workers: usize,
+}
+
+/// The ready tasks and every body not yet taken, indexed by task id.
+struct Ready {
+    queue: ReadyQueue<u32>,
+    bodies: Vec<Option<Box<dyn FnOnce() + Send>>>,
+}
 
 struct Shared<'g> {
-    tasks: Vec<TaskSlot>,
+    ready: Mutex<Ready>,
     succs: Vec<&'g [u32]>,
     preds_left: Vec<AtomicU32>,
-    priority: Vec<u8>,
-    names: Vec<&'static str>,
+    priority: Vec<Priority>,
     remaining: AtomicUsize,
     /// Payload of the first task body that panicked; once set, the remaining
     /// tasks retire without running their bodies.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    injector: Injector<u32>,
-    hi_injector: Injector<u32>,
-    stealers: Vec<Stealer<u32>>,
 }
 
 impl Runtime {
-    /// Executor with `num_workers` threads (clamped to ≥ 1), no tracing.
+    /// Executor with `num_workers` threads, the caller's included (clamped
+    /// to ≥ 1).
     pub fn new(num_workers: usize) -> Self {
         Runtime {
-            config: RuntimeConfig {
-                num_workers: num_workers.max(1),
-                trace: false,
-            },
+            num_workers: num_workers.max(1),
         }
-    }
-
-    /// Executor using all available cores.
-    pub fn max_parallel() -> Self {
-        Runtime {
-            config: RuntimeConfig::default(),
-        }
-    }
-
-    /// Executor from an explicit configuration.
-    pub fn with_config(config: RuntimeConfig) -> Self {
-        let mut config = config;
-        config.num_workers = config.num_workers.max(1);
-        Runtime { config }
     }
 
     pub fn num_workers(&self) -> usize {
-        self.config.num_workers
+        self.num_workers
     }
 
     /// Executes every task in the graph, respecting the inferred
@@ -105,97 +77,46 @@ impl Runtime {
         let n = graph.tasks.len();
         let start = Instant::now();
         if n == 0 {
-            return ExecStats::empty(self.config.num_workers);
+            return ExecStats::empty(self.num_workers);
         }
-        let nw = self.config.num_workers.min(n).max(1);
+        let nw = self.num_workers.min(n);
 
-        // Decompose the graph into executor-friendly arrays.
-        let mut funcs: Vec<TaskSlot> = Vec::with_capacity(n);
-        let mut preds_left = Vec::with_capacity(n);
-        let mut priority = Vec::with_capacity(n);
-        let mut names = Vec::with_capacity(n);
-        for t in graph.tasks.iter_mut() {
-            funcs.push(Mutex::new(t.func.take()));
-            preds_left.push(AtomicU32::new(t.n_preds));
-            priority.push(t.priority);
-            names.push(t.name);
+        let mut ready = Ready {
+            queue: ReadyQueue::default(),
+            bodies: graph.tasks.iter_mut().map(|t| t.func.take()).collect(),
+        };
+        for root in graph.roots() {
+            ready.queue.push(graph.tasks[root as usize].priority, root);
         }
-        let succs: Vec<&[u32]> = graph.tasks.iter().map(|t| t.succs.as_slice()).collect();
-
-        let deques: Vec<Deque<u32>> = (0..nw).map(|_| Deque::new_fifo()).collect();
-        let stealers: Vec<Stealer<u32>> = deques.iter().map(|d| d.stealer()).collect();
-
         let shared = Shared {
-            tasks: funcs,
-            succs,
-            preds_left,
-            priority,
-            names,
+            ready: Mutex::new(ready),
+            succs: graph.tasks.iter().map(|t| t.succs.as_slice()).collect(),
+            preds_left: graph
+                .tasks
+                .iter()
+                .map(|t| AtomicU32::new(t.n_preds))
+                .collect(),
+            priority: graph.tasks.iter().map(|t| t.priority).collect(),
             remaining: AtomicUsize::new(n),
             panic: Mutex::new(None),
-            injector: Injector::new(),
-            hi_injector: Injector::new(),
-            stealers,
         };
-        // Seed the ready frontier.
-        for root in graph.roots() {
-            if shared.priority[root as usize] > 0 {
-                shared.hi_injector.push(root);
-            } else {
-                shared.injector.push(root);
-            }
-        }
 
-        let spans: Vec<Mutex<Vec<TaskSpan>>> = (0..nw).map(|_| Mutex::new(Vec::new())).collect();
         let executed: Vec<AtomicUsize> = (0..nw).map(|_| AtomicUsize::new(0)).collect();
         let busy_ns: Vec<AtomicUsize> = (0..nw).map(|_| AtomicUsize::new(0)).collect();
-        let trace = self.config.trace;
-
         std::thread::scope(|scope| {
-            let shared = &shared;
-            let spans = &spans;
-            let executed = &executed;
-            let busy_ns = &busy_ns;
-            let mut deque_iter = deques.into_iter();
-            let my_deque = deque_iter.next().expect("at least one worker");
-            for (wid, deque) in deque_iter.enumerate() {
-                scope.spawn(move || {
-                    worker_loop(
-                        wid + 1,
-                        deque,
-                        shared,
-                        trace,
-                        start,
-                        &spans[wid + 1],
-                        &executed[wid + 1],
-                        &busy_ns[wid + 1],
-                    );
-                });
+            for wid in 1..nw {
+                let (shared, executed, busy_ns) = (&shared, &executed[wid], &busy_ns[wid]);
+                scope.spawn(move || worker_loop(shared, executed, busy_ns));
             }
             // The calling thread is worker 0.
-            worker_loop(
-                0,
-                my_deque,
-                shared,
-                trace,
-                start,
-                &spans[0],
-                &executed[0],
-                &busy_ns[0],
-            );
+            worker_loop(&shared, &executed[0], &busy_ns[0]);
         });
 
-        if let Some(payload) = shared.panic.into_inner() {
+        if let Some(payload) = lock(&shared.panic).take() {
             resume_unwind(payload);
         }
-        let wall = start.elapsed().as_secs_f64();
-        let mut all_spans = Vec::new();
-        for s in &spans {
-            all_spans.extend(s.lock().drain(..));
-        }
-        all_spans.sort_by(|a, b| a.start.total_cmp(&b.start));
         ExecStats {
-            wall_seconds: wall,
+            wall_seconds: start.elapsed().as_secs_f64(),
             tasks_executed: n,
             edges: graph.n_edges,
             workers: nw,
@@ -205,29 +126,25 @@ impl Runtime {
                 .map(|c| c.load(Ordering::Relaxed) as f64 * 1e-9)
                 .sum(),
             critical_path_tasks: graph.critical_path_len(),
-            spans: all_spans,
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    wid: usize,
-    local: Deque<u32>,
-    shared: &Shared<'_>,
-    trace: bool,
-    epoch: Instant,
-    span_sink: &Mutex<Vec<TaskSpan>>,
-    executed: &AtomicUsize,
-    busy_ns: &AtomicUsize,
-) {
+fn worker_loop(shared: &Shared<'_>, executed: &AtomicUsize, busy_ns: &AtomicUsize) {
     let mut spins = 0u32;
     loop {
         if shared.remaining.load(Ordering::Acquire) == 0 {
             return;
         }
-        let task = find_task(&local, shared);
-        let Some(tid) = task else {
+        let next = {
+            let mut ready = lock(&shared.ready);
+            let ready = &mut *ready;
+            ready
+                .queue
+                .pop()
+                .map(|tid| (tid, ready.bodies[tid as usize].take()))
+        };
+        let Some((tid, body)) = next else {
             // Nothing runnable right now: back off politely.
             spins += 1;
             if spins > 64 {
@@ -238,80 +155,37 @@ fn worker_loop(
             continue;
         };
         spins = 0;
-        let func = shared.tasks[tid as usize]
-            .lock()
-            .take()
-            .expect("task executed twice");
+        let body = body.expect("task executed twice");
         let t0 = Instant::now();
-        let s0 = t0.duration_since(epoch).as_secs_f64();
-        if shared.panic.lock().is_none() {
+        if lock(&shared.panic).is_none() {
             // A panic that escaped here would leave `remaining` above zero
             // and the other workers spinning forever.
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(func)) {
-                shared.panic.lock().get_or_insert(payload);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
+                lock(&shared.panic).get_or_insert(payload);
             }
         }
-        let dur = t0.elapsed();
-        busy_ns.fetch_add(dur.as_nanos() as usize, Ordering::Relaxed);
+        busy_ns.fetch_add(t0.elapsed().as_nanos() as usize, Ordering::Relaxed);
         executed.fetch_add(1, Ordering::Relaxed);
-        if trace {
-            span_sink.lock().push(TaskSpan {
-                name: shared.names[tid as usize],
-                worker: wid,
-                start: s0,
-                end: s0 + dur.as_secs_f64(),
-            });
-        }
-        // Retire: release successors.
+        // Retire: release the successors this task made ready, all under one
+        // lock acquisition (taken at the first one).
+        let mut ready = None;
         for &s in shared.succs[tid as usize] {
             // ORDERING: AcqRel — Release publishes this task's tile writes to
             // the successor; the final decrement's Acquire pairs with every
             // predecessor's Release so the successor sees all of them.
             if shared.preds_left[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                if shared.priority[s as usize] > 0 {
-                    shared.hi_injector.push(s);
-                } else {
-                    local.push(s);
-                }
+                ready
+                    .get_or_insert_with(|| lock(&shared.ready))
+                    .queue
+                    .push(shared.priority[s as usize], s);
             }
         }
+        drop(ready);
         // ORDERING: AcqRel — the zero-observing decrement's Acquire pairs
         // with every worker's Release, so whoever sees completion also sees
         // all task effects.
         shared.remaining.fetch_sub(1, Ordering::AcqRel);
     }
-}
-
-/// Task acquisition order: high-priority injector, local deque, global
-/// injector, then steal from peers.
-fn find_task(local: &Deque<u32>, shared: &Shared<'_>) -> Option<u32> {
-    loop {
-        match shared.hi_injector.steal() {
-            crossbeam_deque::Steal::Success(t) => return Some(t),
-            crossbeam_deque::Steal::Retry => continue,
-            crossbeam_deque::Steal::Empty => break,
-        }
-    }
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        match shared.injector.steal() {
-            crossbeam_deque::Steal::Success(t) => return Some(t),
-            crossbeam_deque::Steal::Retry => continue,
-            crossbeam_deque::Steal::Empty => break,
-        }
-    }
-    for st in &shared.stealers {
-        loop {
-            match st.steal() {
-                crossbeam_deque::Steal::Success(t) => return Some(t),
-                crossbeam_deque::Steal::Retry => continue,
-                crossbeam_deque::Steal::Empty => break,
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -348,12 +222,11 @@ mod tests {
         for i in 0..64 {
             let log = log.clone();
             g.submit("w", 0, &[(h, Access::Write)], move || {
-                log.lock().push(i);
+                lock(&log).push(i);
             });
         }
         Runtime::new(8).run(g);
-        let log = log.lock();
-        assert_eq!(*log, (0..64).collect::<Vec<_>>());
+        assert_eq!(*lock(&log), (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -411,25 +284,25 @@ mod tests {
             "a",
             0,
             &[(h, Access::Write), (h2, Access::Write)],
-            move || s.lock().push("a"),
+            move || lock(&s).push("a"),
         );
         let s = state.clone();
         g.submit("b", 0, &[(h, Access::ReadWrite)], move || {
-            s.lock().push("b")
+            lock(&s).push("b")
         });
         let s = state.clone();
         g.submit("c", 0, &[(h2, Access::ReadWrite)], move || {
-            s.lock().push("c")
+            lock(&s).push("c")
         });
         let s = state.clone();
         g.submit(
             "d",
             0,
             &[(h, Access::Read), (h2, Access::Read)],
-            move || s.lock().push("d"),
+            move || lock(&s).push("d"),
         );
         Runtime::new(4).run(g);
-        let log = state.lock();
+        let log = lock(&state);
         assert_eq!(log[0], "a");
         assert_eq!(log[3], "d");
     }
@@ -490,6 +363,7 @@ mod tests {
 
     #[test]
     fn trace_spans_respect_dependencies() {
+        // A 20-task write chain: the stats see the work and the chain.
         let mut g = TaskGraph::new();
         let h = g.register();
         for _ in 0..20 {
@@ -497,16 +371,7 @@ mod tests {
                 std::hint::black_box(busy_work(1000));
             });
         }
-        let rt = Runtime::with_config(RuntimeConfig {
-            num_workers: 4,
-            trace: true,
-        });
-        let stats = rt.run(g);
-        assert_eq!(stats.spans.len(), 20);
-        // Serialized chain: spans must not overlap.
-        for w in stats.spans.windows(2) {
-            assert!(w[1].start >= w[0].end - 1e-9);
-        }
+        let stats = Runtime::new(4).run(g);
         assert!(stats.busy_seconds > 0.0);
         assert_eq!(stats.critical_path_tasks, 20);
     }
@@ -541,28 +406,19 @@ mod tests {
 
     #[test]
     fn high_priority_tasks_front_run_the_queue() {
-        // All tasks are independent; priority ones should be picked first by
-        // the single worker after the seed ordering.
+        // Independent tasks with priorities cycling 0, 1, 2 on one worker:
+        // every priority-2 task runs first, then every 1, then every 0, each
+        // level in submission order.
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut g = TaskGraph::new();
-        for i in 0..10 {
+        for i in 0..12u8 {
             let h = g.register();
             let ord = order.clone();
-            let pri = if i >= 5 { 1 } else { 0 };
-            g.submit("t", pri, &[(h, Access::Write)], move || {
-                ord.lock().push(i);
+            g.submit("t", i % 3, &[(h, Access::Write)], move || {
+                lock(&ord).push(i);
             });
         }
         Runtime::new(1).run(g);
-        let order = order.lock();
-        // The five high-priority tasks (5..10) must all run before the
-        // low-priority ones.
-        let pos_hi: Vec<usize> = order
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v >= 5)
-            .map(|(p, _)| p)
-            .collect();
-        assert!(pos_hi.iter().all(|&p| p < 5), "order={order:?}");
+        assert_eq!(*lock(&order), [2, 5, 8, 11, 1, 4, 7, 10, 0, 3, 6, 9]);
     }
 }

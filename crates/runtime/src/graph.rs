@@ -30,10 +30,8 @@ pub struct Handle(pub(crate) u32);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TaskId(pub(crate) u32);
 
-/// Task priority. The executor distinguishes only zero from non-zero: a ready
-/// task with a non-zero priority goes to a shared FIFO queue that every
-/// worker polls before anything else, a zero-priority one to the deque of the
-/// worker that released it. Larger values are not ordered among themselves.
+/// Task priority: among ready tasks a larger value runs first, and equal
+/// values run in the order they became ready (see [`crate::ReadyQueue`]).
 pub type Priority = u8;
 
 pub(crate) struct TaskNode {
@@ -41,7 +39,6 @@ pub(crate) struct TaskNode {
     pub(crate) succs: Vec<u32>,
     pub(crate) n_preds: u32,
     pub(crate) priority: Priority,
-    pub(crate) name: &'static str,
 }
 
 #[derive(Default)]
@@ -93,10 +90,11 @@ impl TaskGraph {
     /// Submits a task accessing the given handles; dependencies on previously
     /// submitted tasks are inferred from the access modes.
     ///
-    /// `name` is a static label used by execution traces and error messages.
+    /// `_name` labels the task at the submission site (e.g.
+    /// [`crate::CholTask::name`]); the executor does not record it.
     pub fn submit(
         &mut self,
-        name: &'static str,
+        _name: &'static str,
         priority: Priority,
         accesses: &[(Handle, Access)],
         func: impl FnOnce() + Send + 'static,
@@ -135,7 +133,6 @@ impl TaskGraph {
             succs: Vec::new(),
             n_preds,
             priority,
-            name,
         });
         TaskId(id)
     }

@@ -10,9 +10,10 @@
 //! * [`TaskGraph`] — handle registration, task submission with
 //!   [`Access::Read`]/[`Access::Write`]/[`Access::ReadWrite`] modes, automatic
 //!   dependency inference (last-writer/readers tracking).
-//! * [`Runtime`] — work-stealing execution over `crossbeam-deque`, with a
-//!   dedicated fast path for high-priority (critical-path) tasks and
-//!   per-worker statistics ([`ExecStats`]).
+//! * [`Runtime`] — a worker pool draining one [`ReadyQueue`] (highest
+//!   [`Priority`] first, then release order), with per-worker statistics
+//!   ([`ExecStats`]). The `exa-distsim` simulator queues each node's ready
+//!   tasks in the same type.
 //! * [`parallel_for`]/[`parallel_map`] — bulk-synchronous fork-join helpers
 //!   used by the paper's "Full-block" baseline and by data generation.
 //! * [`chol`] — the tile Cholesky and triangular-solve task DAGs
@@ -44,10 +45,12 @@ pub mod chol;
 pub mod exec;
 pub mod graph;
 pub mod parallel;
+pub mod ready;
 pub mod trace;
 
 pub use chol::{CholTask, SolveTask, TriangularSide};
-pub use exec::{default_parallelism, Runtime, RuntimeConfig};
+pub use exec::{default_parallelism, Runtime};
 pub use graph::{Access, Handle, Priority, TaskGraph, TaskId};
 pub use parallel::{parallel_for, parallel_map};
-pub use trace::{ExecStats, TaskSpan};
+pub use ready::ReadyQueue;
+pub use trace::ExecStats;

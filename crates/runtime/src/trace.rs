@@ -1,22 +1,9 @@
-//! Execution statistics and per-task traces.
+//! Execution statistics.
 //!
 //! The paper's §VIII-C discusses how the StarPU execution hides the
 //! latency-bound TLR kernels; [`ExecStats`] exposes the quantities needed to
 //! reason about that here: wall time, aggregate busy time (their ratio is the
 //! parallel efficiency), per-worker load, and the unit-cost critical path.
-
-/// One executed task instance (recorded when tracing is enabled).
-#[derive(Clone, Copy, Debug)]
-pub struct TaskSpan {
-    /// Static task label (e.g. `"potrf"`).
-    pub name: &'static str,
-    /// Worker that executed the task.
-    pub worker: usize,
-    /// Start offset in seconds from the run epoch.
-    pub start: f64,
-    /// End offset in seconds from the run epoch.
-    pub end: f64,
-}
 
 /// Statistics for one [`crate::Runtime::run`] invocation.
 #[derive(Clone, Debug)]
@@ -35,8 +22,6 @@ pub struct ExecStats {
     pub busy_seconds: f64,
     /// Longest dependency chain (unit task cost).
     pub critical_path_tasks: usize,
-    /// Per-task spans (empty unless tracing was enabled).
-    pub spans: Vec<TaskSpan>,
 }
 
 impl ExecStats {
@@ -50,7 +35,6 @@ impl ExecStats {
             per_worker_tasks: vec![0; workers],
             busy_seconds: 0.0,
             critical_path_tasks: 0,
-            spans: Vec::new(),
         }
     }
 
@@ -102,7 +86,6 @@ mod tests {
             per_worker_tasks: vec![2, 2, 2, 2],
             busy_seconds: 6.0,
             critical_path_tasks: 2,
-            spans: vec![],
         };
         assert!((s.parallel_efficiency() - 0.75).abs() < 1e-12);
         assert_eq!(s.load_imbalance(), 0.0);
@@ -118,7 +101,6 @@ mod tests {
             per_worker_tasks: vec![4, 0],
             busy_seconds: 1.0,
             critical_path_tasks: 4,
-            spans: vec![],
         };
         assert!(s.load_imbalance() > 1.0);
     }
