@@ -10,7 +10,7 @@
 use exa_bench::{fmt_secs, parse_args};
 use exa_covariance::{DistanceMetric, MaternKernel, MaternParams};
 use exa_geostat::synthetic_locations_n;
-use exa_tlr::{CompressionMethod, TlrMatrix};
+use exa_tile::{CompressionMethod, TileMatrix};
 use exa_util::{Rng, Stopwatch, Table};
 use std::sync::Arc;
 
@@ -40,8 +40,9 @@ fn main() {
     ]);
     for eps in [1e-5, 1e-7, 1e-9, 1e-12] {
         let sw = Stopwatch::start();
-        let tlr = TlrMatrix::from_kernel(&kernel, nb, eps, CompressionMethod::Aca, args.workers, 0)
-            .expect("assembly");
+        let tlr =
+            TileMatrix::from_kernel(&kernel, nb, eps, CompressionMethod::Aca, args.workers, 0)
+                .expect("assembly");
         let dt = sw.elapsed_secs();
         let stats = tlr.rank_stats();
         table.row(vec![
@@ -58,7 +59,7 @@ fn main() {
     println!("{}", table.render());
 
     // Per-tile rank map at 1e-9 (the figure's visual).
-    let tlr = TlrMatrix::from_kernel(&kernel, nb, 1e-9, CompressionMethod::Aca, args.workers, 0)
+    let tlr = TileMatrix::from_kernel(&kernel, nb, 1e-9, CompressionMethod::Aca, args.workers, 0)
         .expect("assembly");
     println!("Per-tile ranks at accuracy 1e-9 (row i, col j; D = dense diagonal):");
     for i in 0..tlr.nt {

@@ -4,10 +4,11 @@
 //! The paper's workflow factorizes `Σ(θ)` once per likelihood evaluation and
 //! then *reuses* the factor for the log-determinant, the quadratic form, and
 //! — at the fitted `θ̂` — the kriging solves of Eq. 4. [`Factorization`] is
-//! that factor as a value: one of the three computation techniques' factored
-//! forms behind a common `solve` / `logdet` / `bytes` interface, so
-//! likelihood evaluation, prediction, conditional variances and simulation
-//! all consume the same object instead of re-running `potrf`.
+//! that factor as a value: a dense matrix (Full-block) or a tile matrix
+//! (Full-tile, or TLR with compressed off-diagonal tiles) behind a common
+//! `solve` / `logdet` / `bytes` interface, so likelihood evaluation,
+//! prediction, conditional variances and simulation all consume the same
+//! object instead of re-running `potrf`.
 
 use crate::likelihood::{Backend, LikelihoodConfig};
 use exa_covariance::CovarianceKernel;
@@ -18,7 +19,6 @@ use exa_linalg::{
 use exa_runtime::Runtime;
 pub use exa_tile::TriangularSide;
 use exa_tile::{block_potrf, tile_logdet, tile_potrf, tile_trmm_lower, tile_trsm, TileMatrix};
-use exa_tlr::{tlr_factor_to_dense, tlr_logdet, tlr_potrf, tlr_trsm, TlrMatrix};
 use exa_util::Stopwatch;
 use std::cell::Cell;
 
@@ -56,16 +56,15 @@ pub enum IngestOutcome {
     NeedsRefit,
 }
 
-/// The Cholesky factor of a covariance matrix `Σ(θ)` in one of the paper's
-/// three storage schemes.
+/// The Cholesky factor of a covariance matrix `Σ(θ)`: dense or tile storage.
 pub enum Factorization {
     /// Dense column-major factor from the fork-join blocked Cholesky
     /// (`L` in the lower triangle, the upper triangle untouched).
     Dense(Mat),
-    /// Tile-layout factor from the task-based tile Cholesky.
+    /// Tile-layout factor from the task-based tile Cholesky; its
+    /// off-diagonal tiles are dense (Full-tile) or low-rank at the backend's
+    /// accuracy threshold (TLR).
     Tile(TileMatrix),
-    /// Tile Low-Rank factor at the backend's accuracy threshold.
-    Tlr(TlrMatrix),
 }
 
 impl Factorization {
@@ -94,18 +93,16 @@ impl Factorization {
                 block_potrf(&mut sigma, workers)?;
                 (Factorization::Dense(sigma), g)
             }
-            Backend::FullTile => {
-                let mut sigma = TileMatrix::from_kernel_symmetric_lower(kernel, cfg.nb, workers);
+            Backend::FullTile | Backend::Tlr { .. } => {
+                let mut sigma = match backend {
+                    Backend::Tlr { eps, method } => {
+                        TileMatrix::from_kernel(kernel, cfg.nb, eps, method, workers, cfg.seed)?
+                    }
+                    _ => TileMatrix::from_kernel_symmetric_lower(kernel, cfg.nb, workers),
+                };
                 let g = sw.lap();
                 tile_potrf(&mut sigma, rt)?;
                 (Factorization::Tile(sigma), g)
-            }
-            Backend::Tlr { eps, method } => {
-                let mut sigma =
-                    TlrMatrix::from_kernel(kernel, cfg.nb, eps, method, workers, cfg.seed)?;
-                let g = sw.lap();
-                tlr_potrf(&mut sigma, rt)?;
-                (Factorization::Tlr(sigma), g)
             }
         };
         let factorization_seconds = sw.lap();
@@ -122,8 +119,7 @@ impl Factorization {
     pub fn n(&self) -> usize {
         match self {
             Factorization::Dense(l) => l.nrows(),
-            Factorization::Tile(l) => l.m,
-            Factorization::Tlr(l) => l.n,
+            Factorization::Tile(l) => l.n,
         }
     }
 
@@ -132,7 +128,6 @@ impl Factorization {
         match self {
             Factorization::Dense(l) => logdet_from_cholesky(l.nrows(), l.as_slice(), l.nrows()),
             Factorization::Tile(l) => tile_logdet(l),
-            Factorization::Tlr(l) => tlr_logdet(l),
         }
     }
 
@@ -142,7 +137,6 @@ impl Factorization {
         match self {
             Factorization::Dense(l) => l.nrows() * l.ncols() * 8,
             Factorization::Tile(l) => l.bytes(),
-            Factorization::Tlr(l) => l.bytes(),
         }
     }
 
@@ -191,9 +185,6 @@ impl Factorization {
             }
             Factorization::Tile(l) => {
                 tile_trsm(l, side, b, rt);
-            }
-            Factorization::Tlr(l) => {
-                tlr_trsm(l, side, b, rt);
             }
         }
     }
@@ -296,16 +287,12 @@ impl Factorization {
     }
 
     /// Applies the factor itself: `L·W` (the exact-simulation product
-    /// `Z = L·w` of the ExaGeoStat data generator).
-    ///
-    /// For the TLR factor this densifies `L` first — simulation through an
-    /// approximate factor is an `O(n²)`-memory convenience, not a paper
-    /// workload (the paper always generates data exactly).
+    /// `Z = L·w` of the ExaGeoStat data generator). A TLR factor is applied
+    /// tile by tile through its low-rank factors, never densified.
     pub fn apply_factor(&self, w: &Mat, rt: &Runtime) -> Mat {
         match self {
             Factorization::Dense(l) => trmm_lower_dense(l, w),
             Factorization::Tile(l) => tile_trmm_lower(l, w, rt.num_workers()),
-            Factorization::Tlr(l) => trmm_lower_dense(&tlr_factor_to_dense(l), w),
         }
     }
 }
@@ -396,6 +383,14 @@ mod tests {
                     (a - r).abs() < 1e-7 * r.abs().max(1.0),
                     "{backend:?}: {a} vs {r}"
                 );
+            }
+            // The TLR factor is applied tile by tile through U(VᵀW); the same
+            // factor densified must give the same product.
+            if let (Backend::Tlr { .. }, Factorization::Tile(l)) = (backend, &f) {
+                let dense = l.to_dense_lower().matmul(&w);
+                for (a, r) in got.as_slice().iter().zip(dense.as_slice()) {
+                    assert!((a - r).abs() <= 1e-12 * r.abs().max(1.0), "{a} vs {r}");
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 //! contribution.
 //!
 //! This crate assembles the substrates (`exa-linalg`, `exa-runtime`,
-//! `exa-tile`, `exa-tlr`, `exa-covariance`) into the operations the paper
+//! `exa-tile`, `exa-covariance`) into the operations the paper
 //! describes and benchmarks:
 //!
 //! * [`model`] — **the session API**: [`GeoModel`] (builder-constructed
@@ -10,10 +10,10 @@
 //!   [`ParamCovariance`](exa_covariance::ParamCovariance) family) →
 //!   [`FittedModel`] (owns the factored `Σ(θ̂)`; likelihood, prediction,
 //!   conditional variances and simulation all reuse that factor).
-//! * [`factor`] — [`Factorization`]: the Dense / Tile / TLR Cholesky factor
-//!   behind one `solve`/`logdet`/`bytes` interface, plus incremental
-//!   `append`/`remove` edits (rank-k Cholesky up/downdates on dense
-//!   storage).
+//! * [`factor`] — [`Factorization`]: the dense or tile (Full-tile or TLR)
+//!   Cholesky factor behind one `solve`/`logdet`/`bytes` interface, plus
+//!   incremental `append`/`remove` edits (rank-k Cholesky up/downdates on
+//!   dense storage).
 //! * [`live`] — **streaming ingestion**: [`LiveModel`] wraps a fitted
 //!   session so observations stream in ([`LiveModel::observe`]) and expire
 //!   ([`LiveModel::expire`]) without `O(n³)` refits, with drift-triggered

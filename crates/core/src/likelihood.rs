@@ -16,7 +16,7 @@
 //! * [`Backend::Tlr`] — HiCMA-style TLR factorization at an accuracy
 //!   threshold (the paper's contribution; `TLR-acc(ε)` series).
 
-use exa_tlr::CompressionMethod;
+use exa_tile::CompressionMethod;
 
 /// Computation technique for one likelihood evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -264,7 +264,7 @@ mod tests {
             inner,
             fills: Default::default(),
         };
-        exa_tlr::TlrMatrix::from_kernel(&kernel, nb, eps, method, 2, 0).unwrap();
+        exa_tile::TileMatrix::from_kernel(&kernel, nb, eps, method, 2, 0).unwrap();
         let fills = kernel.fills.into_inner().unwrap();
         // A fill inside one diagonal tile is fine; anything touching an
         // off-diagonal tile may cover at most one row or one column of it.

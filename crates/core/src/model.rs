@@ -839,10 +839,9 @@ impl<K: ParamCovariance> FittedModel<K> {
 
     /// Draws `count` independent realizations through the cached factor.
     ///
-    /// The draws form one `n × count` block so the factor is applied once —
-    /// for the TLR backend in particular, its densification happens once per
-    /// batch, not once per draw. The Gaussian stream (and therefore every
-    /// realization) is identical to `count` sequential
+    /// The draws form one `n × count` block so the factor is applied once,
+    /// as one multi-column product per tile. The Gaussian stream (and
+    /// therefore every realization) is identical to `count` sequential
     /// [`FittedModel::simulate`] calls.
     pub fn simulate_many(
         &self,
@@ -1216,6 +1215,35 @@ mod tests {
         assert!(matches!(at.predict(&[], &rt), Err(ModelError::NoData)));
         let z = at.simulate(&mut rng, &rt);
         assert_eq!(z.len(), 25);
+    }
+
+    /// `count` draws of `simulate_many` against `count` sequential
+    /// `simulate` calls from the same seed, as bit patterns.
+    fn batch_and_sequential_draws(backend: Backend) -> (Vec<u64>, Vec<u64>) {
+        let mut rng = Rng::seed_from_u64(17);
+        let rt = Runtime::new(2);
+        let at = GeoModel::<MaternKernel>::builder()
+            .locations(Arc::new(synthetic_locations(12, &mut rng)))
+            .backend(backend)
+            .tile_size(32)
+            .build()
+            .unwrap()
+            .at_params(&[1.0, 0.1, 0.5], &rt)
+            .unwrap();
+        let bits = |draws: Vec<Vec<f64>>| draws.concat().iter().map(|v| v.to_bits()).collect();
+        let batch = at.simulate_many(3, &mut Rng::seed_from_u64(5), &rt);
+        let mut one = Rng::seed_from_u64(5);
+        let sequential = (0..3).map(|_| at.simulate(&mut one, &rt)).collect();
+        (bits(batch), bits(sequential))
+    }
+
+    #[test]
+    fn simulate_many_equals_sequential_simulate_on_every_backend() {
+        for backend in [Backend::FullBlock, Backend::FullTile, Backend::tlr(1e-9)] {
+            let (batch, sequential) = batch_and_sequential_draws(backend);
+            assert_eq!(batch.len(), 3 * 144);
+            assert_eq!(batch, sequential, "{backend:?}");
+        }
     }
 
     #[test]

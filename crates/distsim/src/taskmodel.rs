@@ -22,7 +22,7 @@
 
 use crate::machine::MachineConfig;
 use exa_covariance::{sort_morton, DistanceMetric, Location, MaternKernel, MaternParams};
-use exa_tlr::{CompressionMethod, TlrMatrix};
+use exa_tile::{CompressionMethod, TileMatrix};
 use exa_util::Rng;
 use std::sync::Arc;
 
@@ -105,7 +105,7 @@ fn measure_bins(eps: f64, params: MaternParams, n: usize, nb: usize, seed: u64) 
         .collect();
     sort_morton(&mut locs);
     let kernel = MaternKernel::new(Arc::new(locs), params, DistanceMetric::Euclidean, 0.0);
-    let tlr = TlrMatrix::from_kernel(&kernel, nb, eps, CompressionMethod::Aca, 4, seed)
+    let tlr = TileMatrix::from_kernel(&kernel, nb, eps, CompressionMethod::Aca, 4, seed)
         .expect("calibration assembly");
     let nt = tlr.nt;
     // Mean rank per off-diagonal distance d = i − j.
@@ -310,7 +310,7 @@ mod tests {
             DistanceMetric::Euclidean,
             0.0,
         );
-        let tlr = TlrMatrix::from_kernel(&kernel, 64, eps, CompressionMethod::Aca, 4, 99).unwrap();
+        let tlr = TileMatrix::from_kernel(&kernel, 64, eps, CompressionMethod::Aca, 4, 99).unwrap();
         for d in 1..tlr.nt {
             let mut sum = 0.0;
             let mut cnt = 0;

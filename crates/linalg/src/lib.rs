@@ -3,8 +3,8 @@
 //! This crate is the workspace's substitute for an optimized BLAS/LAPACK
 //! (the paper links against Intel MKL). All kernels operate on **column-major**
 //! `f64` storage with explicit leading dimensions, mirroring the
-//! BLAS/LAPACK calling conventions so the tile algorithms in `exa-tile` and
-//! `exa-tlr` read like their Chameleon/HiCMA counterparts:
+//! BLAS/LAPACK calling conventions so the tile and TLR algorithms in
+//! `exa-tile` read like their Chameleon/HiCMA counterparts:
 //!
 //! * Level-1/2 BLAS: [`blas1`] (`dot`, `axpy`, `nrm2`, …), [`gemv`], [`ger`].
 //! * Level-3 BLAS: [`dgemm`] (packed, register-blocked micro-kernel),

@@ -14,8 +14,9 @@
 //!   [`Priority`] first, then release order), with per-worker statistics
 //!   ([`ExecStats`]). The `exa-distsim` simulator queues each node's ready
 //!   tasks in the same type.
-//! * [`parallel_for`]/[`parallel_map`] — bulk-synchronous fork-join helpers
-//!   used by the paper's "Full-block" baseline and by data generation.
+//! * [`parallel_for`]/[`parallel_map`]/[`parallel_update`] — bulk-synchronous
+//!   fork-join helpers used by the paper's "Full-block" baseline and by data
+//!   generation.
 //! * [`chol`] — the tile Cholesky and triangular-solve task DAGs
 //!   ([`CholTask`], [`SolveTask`]) and the drivers that submit them; the
 //!   dense tile, TLR and simulated factorizations all take the DAG from here.
@@ -51,6 +52,6 @@ pub mod trace;
 pub use chol::{CholTask, SolveTask, TriangularSide};
 pub use exec::{default_parallelism, Runtime};
 pub use graph::{Access, Handle, Priority, TaskGraph, TaskId};
-pub use parallel::{parallel_for, parallel_map};
+pub use parallel::{parallel_for, parallel_map, parallel_update};
 pub use ready::ReadyQueue;
 pub use trace::ExecStats;

@@ -48,6 +48,30 @@ pub fn parallel_for(
     });
 }
 
+/// Runs `f(i, &mut items[i])` for every item on `num_workers` threads.
+/// Workers claim one item at a time, so each call may be a coarse unit of
+/// work (one tile).
+pub fn parallel_update<T: Send>(
+    num_workers: usize,
+    items: &mut [T],
+    f: impl Fn(usize, &mut T) + Sync,
+) {
+    struct Base<T>(*mut T);
+    // SAFETY: `parallel_for` hands each worker a disjoint [s, e) range, so
+    // no item is ever borrowed from two threads; T: Send lets it be mutated
+    // on another thread.
+    unsafe impl<T: Send> Sync for Base<T> {}
+    let n = items.len();
+    let base = Base(items.as_mut_ptr());
+    let base = &base;
+    parallel_for(num_workers, n, 1, |s, e| {
+        for i in s..e {
+            // SAFETY: i < n, and item i is in this call's range only.
+            f(i, unsafe { &mut *base.0.add(i) });
+        }
+    });
+}
+
 /// Parallel map over `0..n`, collecting results in index order.
 pub fn parallel_map<T: Send>(
     num_workers: usize,
@@ -55,27 +79,9 @@ pub fn parallel_map<T: Send>(
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let cell = SyncSlice(std::cell::UnsafeCell::new(out.as_mut_slice()));
-    // Capture the wrapper by reference (not its UnsafeCell field) so the
-    // closure is `Sync` via the manual impl below.
-    let cell_ref = &cell;
-    parallel_for(num_workers, n, 64, |s, e| {
-        // SAFETY: ranges [s, e) from parallel_for are disjoint, so each slot
-        // is written by exactly one thread.
-        let slice: &mut [Option<T>] = unsafe { &mut *cell_ref.0.get() };
-        for (i, slot) in slice[s..e].iter_mut().enumerate() {
-            *slot = Some(f(s + i));
-        }
-    });
+    parallel_update(num_workers, &mut out, |i, slot| *slot = Some(f(i)));
     out.into_iter().map(|o| o.expect("slot filled")).collect()
 }
-
-/// Wrapper making a raw mutable slice shareable across the scoped threads;
-/// disjointness of writes is guaranteed by `parallel_for`'s chunking.
-struct SyncSlice<'a, T>(std::cell::UnsafeCell<&'a mut [Option<T>]>);
-// SAFETY: `parallel_for` hands each worker a disjoint [s, e) range, so no
-// slot is ever written from two threads; T: Send keeps the values movable.
-unsafe impl<T: Send> Sync for SyncSlice<'_, T> {}
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,7 @@
 //! | wire front-end | ExaGeoStatR's remote-consumer surface, as HTTP/1.1 + JSON or binary frames | [`wire`] (`exa-wire`) |
 //! | prediction serving | ExaGeoStatR's fit-once/predict-many workflow, as a service | [`serve`] (`exa-serve`) |
 //! | statistics & drivers | ExaGeoStat + NLopt | [`geostat`] (`exa-geostat`) |
-//! | TLR linear algebra | HiCMA | [`tlr`] (`exa-tlr`) |
+//! | TLR linear algebra | HiCMA | [`tile`] (`exa-tile`; `exa-tlr` holds compatibility re-exports) |
 //! | dense tile algorithms | Chameleon | [`tile`] (`exa-tile`) |
 //! | task runtime | StarPU | [`runtime`] (`exa-runtime`) |
 //! | dense kernels | BLAS/LAPACK (MKL) | [`linalg`] (`exa-linalg`) |
@@ -95,7 +95,6 @@ pub use exa_runtime as runtime;
 pub use exa_serve as serve;
 pub use exa_telemetry as telemetry;
 pub use exa_tile as tile;
-pub use exa_tlr as tlr;
 pub use exa_util as util;
 pub use exa_wire as wire;
 
@@ -121,7 +120,7 @@ pub mod prelude {
         ServeError, ServedPrediction, ServerHandle, ServerStats,
     };
     pub use exa_telemetry::{Histogram, HistogramSnapshot, SlowEntry, SlowRing, TraceId};
-    pub use exa_tlr::{CompressionMethod, TlrMatrix};
+    pub use exa_tile::{CompressionMethod, TileMatrix as TlrMatrix};
     pub use exa_util::Rng;
     pub use exa_wire::{
         Codec, WireClient, WireConfig, WireError, WireModelInfo, WireModels, WirePrediction,

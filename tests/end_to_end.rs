@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full ExaGeoStat pipeline
 //! (locations → simulation → likelihood → MLE → prediction) spanning
-//! `exa-covariance`, `exa-linalg`, `exa-runtime`, `exa-tile`, `exa-tlr`,
-//! and `exa-geostat`.
+//! `exa-covariance`, `exa-linalg`, `exa-runtime`, `exa-tile` and
+//! `exa-geostat`.
 
 use exageostat::prelude::*;
 use exageostat::util::stats::mean;
