@@ -6,6 +6,17 @@
 //! micro-kernel serves all four op combinations. Small products fall back to a
 //! straightforward loop nest to avoid the packing overhead (rank updates in
 //! the TLR arithmetic call GEMM with k of a few dozen).
+//!
+//! The register tile is sized per ISA so its accumulators stay in the 16
+//! vector registers: 6 × 4 in the portable build (baseline x86-64 is SSE2,
+//! two doubles a register) and 4 × 8 under AVX (four), which `dgemm`
+//! dispatches to when `is_x86_feature_detected!("avx")` holds. Both give the
+//! same bits: every `C(i, j)` is `acc = 0; acc += a·b` over one `KC` panel
+//! in `p` order, then `c += alpha·acc`, and the tile shape only decides which
+//! elements share a register (Rust fuses no FMA and reassociates nothing).
+//! `KC` and the small-product threshold are therefore fixed: the first
+//! splits each sum into panels, the second picks between two paths whose
+//! bits differ, so moving either moves results.
 
 /// Transpose selector for GEMM-like kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,14 +28,22 @@ pub enum Trans {
 }
 
 // Cache blocking parameters (f64): panel sizes tuned for ~32 KiB L1 / 1 MiB L2.
+// `KC` also decides where each element's sum is split into panels, so it is
+// part of the result's bits, not only of its speed.
 const MC: usize = 128;
 const KC: usize = 256;
 const NC: usize = 1024;
-// Register micro-tile.
-const MR: usize = 8;
-const NR: usize = 6;
+// Register tiles (`MR × NR` accumulators, plus an `MR`-row of A and a
+// broadcast of B, in the ISA's 16 vector registers without spilling).
+// Portable build, baseline x86-64 (SSE2, 2 doubles per register).
+const PORTABLE_MR: usize = 6;
+const PORTABLE_NR: usize = 4;
+// AVX (4 doubles per register), chosen at run time.
+const AVX_MR: usize = 4;
+const AVX_NR: usize = 8;
 
-/// Threshold below which the naive loop nest beats packing.
+/// Threshold below which the naive loop nest beats packing. Moving it would
+/// move a product between the two paths, whose bits differ.
 const SMALL_FLOPS: usize = 64 * 64 * 64;
 
 /// `C := alpha · op(A) · op(B) + beta · C`.
@@ -92,8 +111,67 @@ pub fn dgemm(
         return;
     }
 
-    let mut apack = vec![0.0f64; MC * KC];
-    let mut bpack = vec![0.0f64; KC * NC];
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: `packed_avx` requires only AVX, which
+        // `is_x86_feature_detected!` has just found on this CPU.
+        unsafe { packed_avx(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc) };
+        return;
+    }
+    packed::<PORTABLE_MR, PORTABLE_NR>(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+}
+
+/// The packed path compiled with AVX enabled; its bits equal the portable
+/// build's (see the module doc).
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+fn packed_avx(
+    transa: Trans,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    packed::<AVX_MR, AVX_NR>(transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+}
+
+/// `C += alpha · op(A) · op(B)` on validated extents, through packed panels
+/// and an `MR × NR` register tile. Every function below is
+/// `#[inline(always)]`, so the whole path takes its caller's target features.
+///
+/// Each `C(i, j)` receives, per `KC` panel in order, `alpha · acc` where
+/// `acc` sums `op(A)(i, p) · op(B)(p, j)` from zero in `p` order: the tile
+/// shape decides only which elements share a register, never the order of
+/// operations on one element, so every `MR × NR` gives the same bits.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn packed<const MR: usize, const NR: usize>(
+    transa: Trans,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    // Sized for the largest block, with edge micro-panels zero-padded to a
+    // full `MR`/`NR`. Sizing to the product rather than to `MC`/`KC`/`NC`
+    // spares a small product clearing ~2 MB per call.
+    let mut apack = vec![0.0f64; MC.min(m).div_ceil(MR) * MR * KC.min(k)];
+    let mut bpack = vec![0.0f64; KC.min(k) * NC.min(n).div_ceil(NR) * NR];
 
     let mut jc = 0;
     while jc < n {
@@ -101,12 +179,12 @@ pub fn dgemm(
         let mut pc = 0;
         while pc < k {
             let kcb = KC.min(k - pc);
-            pack_b(transb, b, ldb, pc, jc, kcb, ncb, &mut bpack);
+            pack_b::<NR>(transb, b, ldb, pc, jc, kcb, ncb, &mut bpack);
             let mut ic = 0;
             while ic < m {
                 let mcb = MC.min(m - ic);
-                pack_a(transa, a, lda, ic, pc, mcb, kcb, &mut apack);
-                macro_kernel(
+                pack_a::<MR>(transa, a, lda, ic, pc, mcb, kcb, &mut apack);
+                macro_kernel::<MR, NR>(
                     mcb,
                     ncb,
                     kcb,
@@ -134,8 +212,9 @@ fn a_elem(trans: Trans, a: &[f64], lda: usize, i: usize, p: usize) -> f64 {
 }
 
 /// Packs an `mcb × kcb` panel of `op(A)` into row-micro-panels of height MR.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS packing-kernel signature
-fn pack_a(
+fn pack_a<const MR: usize>(
     trans: Trans,
     a: &[f64],
     lda: usize,
@@ -163,8 +242,9 @@ fn pack_a(
 }
 
 /// Packs a `kcb × ncb` panel of `op(B)` into column-micro-panels of width NR.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS packing-kernel signature
-fn pack_b(
+fn pack_b<const NR: usize>(
     trans: Trans,
     b: &[f64],
     ldb: usize,
@@ -197,8 +277,9 @@ fn pack_b(
 }
 
 /// Runs the micro-kernel over all micro-tiles of one packed block pair.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS macro-kernel signature
-fn macro_kernel(
+fn macro_kernel<const MR: usize, const NR: usize>(
     mcb: usize,
     ncb: usize,
     kcb: usize,
@@ -216,7 +297,7 @@ fn macro_kernel(
         while ib < mcb {
             let mr = MR.min(mcb - ib);
             let apanel = &apack[(ib / MR) * (kcb * MR)..][..kcb * MR];
-            micro_kernel(
+            micro_kernel::<MR, NR>(
                 kcb,
                 alpha,
                 apanel,
@@ -235,7 +316,7 @@ fn macro_kernel(
 /// `MR × NR` register-blocked inner kernel: `C[0..mr, 0..nr] += alpha · Aᵖ·Bᵖ`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_kernel(
+fn micro_kernel<const MR: usize, const NR: usize>(
     kc: usize,
     alpha: f64,
     ap: &[f64],
@@ -517,6 +598,156 @@ mod tests {
         check_case(Trans::Yes, Trans::No, 130, 70, 300, 2);
         check_case(Trans::No, Trans::Yes, 257, 65, 66, 3);
         check_case(Trans::Yes, Trans::Yes, 129, 129, 65, 4);
+    }
+
+    /// `beta · C`, then per `KC` panel `acc` summed from zero in `p` order
+    /// and `C += alpha · acc`: the order the packed path documents, written
+    /// out element by element.
+    #[allow(clippy::too_many_arguments)] // mirrors the dgemm signature under test
+    fn panel_order_reference(
+        transa: Trans,
+        transb: Trans,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &Mat,
+        b: &Mat,
+        beta: f64,
+        c: &Mat,
+    ) -> Mat {
+        let get_a = |i: usize, p: usize| match transa {
+            Trans::No => a[(i, p)],
+            Trans::Yes => a[(p, i)],
+        };
+        let get_b = |p: usize, j: usize| match transb {
+            Trans::No => b[(p, j)],
+            Trans::Yes => b[(j, p)],
+        };
+        Mat::from_fn(m, n, |i, j| {
+            let mut cij = if beta == 0.0 {
+                0.0
+            } else if beta == 1.0 {
+                c[(i, j)]
+            } else {
+                c[(i, j)] * beta
+            };
+            for p0 in (0..k).step_by(KC) {
+                let mut acc = 0.0;
+                for p in p0..(p0 + KC).min(k) {
+                    acc += get_a(i, p) * get_b(p, j);
+                }
+                cij += alpha * acc;
+            }
+            cij
+        })
+    }
+
+    fn assert_same_bits(got: &Mat, expected: &Mat, what: &str) {
+        for (idx, (g, e)) in got.as_slice().iter().zip(expected.as_slice()).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                e.to_bits(),
+                "{what}: element {idx}: {g} vs {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn packed_path_bits_follow_the_documented_order() {
+        // m and n leave edge tiles for every MR × NR here, k spans two KC
+        // panels. Miri runs a smaller shape, and only the portable tile.
+        let (m, n, k) = if cfg!(miri) {
+            (7, 9, KC + 3)
+        } else {
+            (131, 73, 300)
+        };
+        let alpha = 1.5;
+        let ops = [
+            (Trans::No, Trans::No),
+            (Trans::Yes, Trans::No),
+            (Trans::No, Trans::Yes),
+            (Trans::Yes, Trans::Yes),
+        ];
+        for (s, (transa, transb)) in ops.into_iter().enumerate() {
+            let mut rng = Rng::seed_from_u64(40 + s as u64);
+            let (ar, ac) = if transa == Trans::No { (m, k) } else { (k, m) };
+            let (br, bc) = if transb == Trans::No { (k, n) } else { (n, k) };
+            let a = Mat::gaussian(ar, ac, &mut rng);
+            let b = Mat::gaussian(br, bc, &mut rng);
+            let c0 = Mat::gaussian(m, n, &mut rng);
+            for beta in [0.0, 1.0, -0.5] {
+                let what = format!("{transa:?},{transb:?},beta={beta}");
+                let expected =
+                    panel_order_reference(transa, transb, m, n, k, alpha, &a, &b, beta, &c0);
+                // The packed instantiations start from C already scaled by beta.
+                let scaled =
+                    panel_order_reference(transa, transb, m, n, 0, alpha, &a, &b, beta, &c0);
+                let (a, b) = (a.as_slice(), b.as_slice());
+
+                let mut c = scaled.clone();
+                packed::<PORTABLE_MR, PORTABLE_NR>(
+                    transa,
+                    transb,
+                    m,
+                    n,
+                    k,
+                    alpha,
+                    a,
+                    ar,
+                    b,
+                    br,
+                    c.as_mut_slice(),
+                    m,
+                );
+                assert_same_bits(&c, &expected, &format!("portable {what}"));
+
+                #[cfg(all(target_arch = "x86_64", not(miri)))]
+                if std::arch::is_x86_feature_detected!("avx") {
+                    let mut c = scaled.clone();
+                    // SAFETY: `is_x86_feature_detected!` has just found AVX,
+                    // the only feature `packed_avx` enables.
+                    unsafe {
+                        packed_avx(
+                            transa,
+                            transb,
+                            m,
+                            n,
+                            k,
+                            alpha,
+                            a,
+                            ar,
+                            b,
+                            br,
+                            c.as_mut_slice(),
+                            m,
+                        )
+                    };
+                    assert_same_bits(&c, &expected, &format!("avx {what}"));
+                }
+
+                // Through dgemm: its beta step, the threshold and the dispatch.
+                if 2 * m * n * k > SMALL_FLOPS {
+                    let mut c = c0.clone();
+                    dgemm(
+                        transa,
+                        transb,
+                        m,
+                        n,
+                        k,
+                        alpha,
+                        a,
+                        ar,
+                        b,
+                        br,
+                        beta,
+                        c.as_mut_slice(),
+                        m,
+                    );
+                    assert_same_bits(&c, &expected, &format!("dgemm {what}"));
+                }
+            }
+        }
     }
 
     #[test]

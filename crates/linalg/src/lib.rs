@@ -7,8 +7,9 @@
 //! `exa-tile` read like their Chameleon/HiCMA counterparts:
 //!
 //! * Level-1/2 BLAS: [`blas1`] (`dot`, `axpy`, `nrm2`, …), [`gemv`], [`ger`].
-//! * Level-3 BLAS: [`dgemm`] (packed, register-blocked micro-kernel),
-//!   [`dsyrk`], [`dtrsm`] (all four `Lower` variants).
+//! * Level-3 BLAS: [`dgemm`] (packed, with a register tile sized per ISA
+//!   and AVX dispatched at run time, bit-identical either way), [`dsyrk`],
+//!   [`dtrsm`] (all four `Lower` variants).
 //! * LAPACK-style factorizations: blocked Cholesky [`dpotrf`], Householder QR
 //!   ([`dgeqrf`]/[`dorgqr`]), and one-sided Jacobi SVD [`jacobi_svd`] with
 //!   the absolute [`truncation_rank`] cut that TLR rounding applies to it.

@@ -4,6 +4,12 @@
 //! folded into `exa_runtime::chol`; any change to the task set, the per-tile
 //! kernels or the order of updates to one tile moves them. They hold at any
 //! worker count because every tile sees its updates in submission order.
+//!
+//! At `N`/`NB` = 96/16 every tile product is below `dgemm`'s small-product
+//! threshold. The `PACKED_*` pair (N = 576, NB = 144, where each Gemm task is
+//! 5.97 Mflop) pins the packed micro-kernel path; it was recorded before that
+//! path's register tile was re-sized per ISA and dispatched to AVX, which
+//! changed no bit.
 
 use exa_covariance::{sort_morton, DistanceMetric, Location, MaternKernel, MaternParams};
 use exa_linalg::Mat;
@@ -15,6 +21,8 @@ use std::sync::Arc;
 
 const N: usize = 96;
 const NB: usize = 16;
+const PACKED_N: usize = 576;
+const PACKED_NB: usize = 144;
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 #[derive(Clone, Copy)]
@@ -35,8 +43,12 @@ impl Fnv {
 }
 
 fn kernel() -> MaternKernel {
+    kernel_of_size(N)
+}
+
+fn kernel_of_size(n: usize) -> MaternKernel {
     let mut rng = Rng::seed_from_u64(2018);
-    let mut locs: Vec<Location> = (0..N)
+    let mut locs: Vec<Location> = (0..n)
         .map(|_| Location::new(rng.next_f64(), rng.next_f64()))
         .collect();
     sort_morton(&mut locs);
@@ -48,14 +60,18 @@ fn kernel() -> MaternKernel {
     )
 }
 
-fn rhs() -> Mat {
-    Mat::gaussian(N, 3, &mut Rng::seed_from_u64(7))
+fn rhs(n: usize) -> Mat {
+    Mat::gaussian(n, 3, &mut Rng::seed_from_u64(7))
 }
 
 /// `(factor hash, forward+backward solve hash)` of the full-tile path.
 fn tile_hashes(workers: usize) -> (u64, u64) {
+    tile_hashes_at(N, NB, workers)
+}
+
+fn tile_hashes_at(n: usize, nb: usize, workers: usize) -> (u64, u64) {
     let rt = Runtime::new(workers);
-    let mut a = TileMatrix::from_kernel_symmetric_lower(&kernel(), NB, 1);
+    let mut a = TileMatrix::from_kernel_symmetric_lower(&kernel_of_size(n), nb, 1);
     tile_potrf(&mut a, &rt).unwrap();
     let mut factor = Fnv::new();
     for j in 0..a.nt {
@@ -63,7 +79,7 @@ fn tile_hashes(workers: usize) -> (u64, u64) {
             factor.feed(&a.tile(i, j).data);
         }
     }
-    let mut x = rhs();
+    let mut x = rhs(n);
     tile_potrs(&a, &mut x, &rt);
     let mut solve = Fnv::new();
     solve.feed(x.as_slice());
@@ -85,7 +101,7 @@ fn tlr_hashes(workers: usize) -> (u64, u64) {
             factor.feed(&a.lr(i, j).v);
         }
     }
-    let mut x = rhs();
+    let mut x = rhs(N);
     tlr_potrs(&a, &mut x, &rt);
     let mut solve = Fnv::new();
     solve.feed(x.as_slice());
@@ -109,6 +125,17 @@ fn tlr_factor_and_solve_bits_are_pinned() {
         assert_eq!(
             tlr_hashes(workers),
             (TLR_FACTOR, TLR_SOLVE),
+            "workers={workers}"
+        );
+    }
+}
+
+#[test]
+fn packed_gemm_tile_factor_and_solve_bits_are_pinned() {
+    for workers in [1, 4] {
+        assert_eq!(
+            tile_hashes_at(PACKED_N, PACKED_NB, workers),
+            (PACKED_TILE_FACTOR, PACKED_TILE_SOLVE),
             "workers={workers}"
         );
     }
@@ -139,3 +166,5 @@ const TILE_FACTOR: u64 = 6_446_094_807_666_641_401;
 const TILE_SOLVE: u64 = 15_975_838_321_124_846_399;
 const TLR_FACTOR: u64 = 3_148_779_059_679_692_091;
 const TLR_SOLVE: u64 = 3_499_358_454_941_623_029;
+const PACKED_TILE_FACTOR: u64 = 7_496_566_459_703_196_914;
+const PACKED_TILE_SOLVE: u64 = 394_150_211_777_328_780;
