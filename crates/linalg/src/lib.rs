@@ -11,8 +11,10 @@
 //!   and AVX dispatched at run time, bit-identical either way), [`dsyrk`],
 //!   [`dtrsm`] (all four `Lower` variants).
 //! * LAPACK-style factorizations: blocked Cholesky [`dpotrf`], Householder QR
-//!   ([`dgeqrf`]/[`dorgqr`]), and one-sided Jacobi SVD [`jacobi_svd`] with
-//!   the absolute [`truncation_rank`] cut that TLR rounding applies to it.
+//!   ([`dgeqrf`]/[`dorgqr`]), and one-sided Jacobi SVD [`jacobi_svd`],
+//!   preconditioned by a column-pivoted QR and carrying its column norms
+//!   across rotations, with the absolute [`truncation_rank`] cut that TLR
+//!   rounding applies to it.
 //!
 //! Dimensions are validated with `assert!` at public entry points; inner loops
 //! rely on the validated bounds.
@@ -43,6 +45,9 @@ pub enum LinalgError {
     NotPositiveDefinite { index: usize },
     /// An iterative routine exhausted its sweep/iteration budget.
     NoConvergence { iterations: usize },
+    /// The input holds a NaN or an infinity (or the computation overflowed
+    /// to one).
+    NonFinite,
 }
 
 impl LinalgError {
@@ -67,6 +72,7 @@ impl std::fmt::Display for LinalgError {
             LinalgError::NoConvergence { iterations } => {
                 write!(f, "no convergence after {iterations} iterations")
             }
+            LinalgError::NonFinite => write!(f, "input holds a NaN or an infinity"),
         }
     }
 }

@@ -1,10 +1,13 @@
-//! Householder QR factorization (`dgeqrf`) and explicit-Q formation
-//! (`dorgqr`), LAPACK-style.
+//! Householder QR factorization (`dgeqrf`), its column-pivoted form
+//! (`dgeqp3`), and explicit-Q formation (`dorgqr`), LAPACK-style.
 //!
 //! Used by the TLR recompression step: rounding the sum of two low-rank terms
 //! requires QR factors of the stacked `U`/`V` blocks (tall-skinny matrices, so
-//! the unblocked algorithm is the right tool).
+//! the unblocked algorithm is the right tool). The pivoted form is the
+//! preconditioner of the Jacobi SVD ([`crate::jacobi_svd`]) that truncates
+//! the rounding's small core.
 
+use crate::blas1::nrm2;
 use crate::gemm::{gemv, ger, Trans};
 
 /// Householder QR: factors the `m × n` matrix `A` (column-major, leading
@@ -32,6 +35,76 @@ pub fn dgeqrf(m: usize, n: usize, a: &mut [f64], lda: usize, tau: &mut [f64]) {
     }
 }
 
+/// Householder QR with column pivoting (LAPACK `dgeqp3`, unblocked like
+/// `dlaqp2`): factors `A·P = Q·R` with `|R[0,0]| ≥ |R[1,1]| ≥ …`.
+///
+/// Step `j` swaps the remaining column of largest norm into place before
+/// generating its reflector. The remaining columns' norms are then
+/// downdated (`‖a_l‖² −= R[j,l]²`) and recomputed from scratch once
+/// cancellation has eaten most of them. On return `A` and `tau` hold `R` and
+/// the reflectors exactly as after [`dgeqrf`], and `jpvt[j]` is the index in
+/// the input of column `j` of `A·P`.
+pub(crate) fn dgeqp3(
+    m: usize,
+    n: usize,
+    a: &mut [f64],
+    lda: usize,
+    tau: &mut [f64],
+    jpvt: &mut [usize],
+) {
+    assert!(lda >= m.max(1), "lda too small");
+    let k = m.min(n);
+    assert!(tau.len() >= k, "tau too small");
+    assert!(jpvt.len() >= n, "jpvt too small");
+    if n > 0 {
+        assert!(a.len() >= lda * (n - 1) + m, "buffer too small");
+    }
+    for (j, p) in jpvt.iter_mut().enumerate().take(n) {
+        *p = j;
+    }
+    // vn1: current norms of the trailing parts; vn2: their last exact values.
+    let mut vn1: Vec<f64> = (0..n).map(|j| nrm2(&a[j * lda..j * lda + m])).collect();
+    let mut vn2 = vn1.clone();
+    let tol3z = f64::EPSILON.sqrt();
+    let mut work = vec![0.0f64; n];
+    for j in 0..k {
+        // `>` keeps the first of equal norms and never selects a NaN.
+        let mut p = j;
+        for l in j + 1..n {
+            if vn1[l] > vn1[p] {
+                p = l;
+            }
+        }
+        if p != j {
+            for i in 0..m {
+                a.swap(i + p * lda, i + j * lda);
+            }
+            jpvt.swap(p, j);
+            vn1[p] = vn1[j];
+            vn2[p] = vn2[j];
+        }
+        let tau_j = larfg(m - j, a, lda, j);
+        tau[j] = tau_j;
+        if tau_j != 0.0 && j + 1 < n {
+            apply_reflector_left(m - j, n - j - 1, a, lda, j, tau_j, &mut work);
+        }
+        for l in j + 1..n {
+            if vn1[l] == 0.0 {
+                continue;
+            }
+            let r = a[j + l * lda].abs() / vn1[l];
+            let left = (1.0 - r * r).max(0.0);
+            let drift = vn1[l] / vn2[l];
+            if left * drift * drift <= tol3z {
+                vn1[l] = nrm2(&a[l * lda + j + 1..l * lda + m]);
+                vn2[l] = vn1[l];
+            } else {
+                vn1[l] *= left.sqrt();
+            }
+        }
+    }
+}
+
 /// Generates a Householder reflector for the vector `A[j.., j]`.
 ///
 /// Overwrites `A[j, j]` with `beta` (the resulting R diagonal) and
@@ -42,7 +115,7 @@ fn larfg(len: usize, a: &mut [f64], lda: usize, j: usize) -> f64 {
         return 0.0;
     }
     let alpha = a[col];
-    let xnorm = crate::blas1::nrm2(&a[col + 1..col + len]);
+    let xnorm = nrm2(&a[col + 1..col + len]);
     if xnorm == 0.0 {
         return 0.0;
     }
@@ -128,7 +201,7 @@ mod tests {
     use super::*;
     use crate::gemm::dgemm;
     use crate::mat::Mat;
-    use crate::norms::{max_abs_diff, rel_fro_diff};
+    use crate::norms::{frobenius_norm, max_abs_diff, rel_fro_diff};
     use exa_util::Rng;
 
     fn qr_roundtrip(m: usize, n: usize, seed: u64) {
@@ -195,6 +268,68 @@ mod tests {
         qr_roundtrip(64, 17, 3);
         qr_roundtrip(5, 8, 4); // wide
         qr_roundtrip(1, 1, 5);
+    }
+
+    /// Checks `A·P = Q·R`, `QᵀQ = I` and `|R_00| ≥ |R_11| ≥ …` for
+    /// [`dgeqp3`]; returns `R`'s diagonal magnitudes.
+    fn pivoted_qr_invariants(a0: &Mat) -> Vec<f64> {
+        let (m, n) = (a0.nrows(), a0.ncols());
+        let k = m.min(n);
+        let mut a = a0.clone();
+        let mut tau = vec![0.0; k];
+        let mut jpvt = vec![0; n];
+        dgeqp3(m, n, a.as_mut_slice(), m, &mut tau, &mut jpvt);
+        let mut sorted = jpvt.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "jpvt is a permutation");
+        let r = Mat::from_fn(k, n, |i, j| if i <= j { a[(i, j)] } else { 0.0 });
+        let diag: Vec<f64> = (0..k).map(|i| r[(i, i)].abs()).collect();
+        assert!(
+            diag.windows(2).all(|w| w[0] >= w[1]),
+            "{m}×{n}: |R_ii| not non-increasing: {diag:?}"
+        );
+        let mut q = a.clone();
+        dorgqr(m, k, k, q.as_mut_slice(), m, &tau);
+        let q = Mat::from_fn(m, k, |i, j| q[(i, j)]);
+        let qr = q.matmul(&r);
+        let ap = Mat::from_fn(m, n, |i, j| a0[(i, jpvt[j])]);
+        let scale = frobenius_norm(m, n, a0.as_slice(), m).max(1.0);
+        assert!(
+            max_abs_diff(qr.as_slice(), ap.as_slice()) < 1e-13 * scale,
+            "{m}×{n}: A·P ≠ Q·R"
+        );
+        let qtq = q.transposed().matmul(&q);
+        assert!(max_abs_diff(qtq.as_slice(), Mat::eye(k).as_slice()) < 1e-13);
+        diag
+    }
+
+    #[test]
+    fn pivoted_qr_factors_a_permutation_with_graded_diagonal() {
+        let shapes = if cfg!(miri) {
+            [(7, 4), (5, 5), (4, 7)]
+        } else {
+            [(30, 17), (17, 17), (12, 20)]
+        };
+        for (seed, (m, n)) in shapes.into_iter().enumerate() {
+            let mut rng = Rng::seed_from_u64(10 + seed as u64);
+            // Columns scaled over six decades, so pivoting has work to do.
+            let g = Mat::gaussian(m, n, &mut rng);
+            let a = Mat::from_fn(m, n, |i, j| g[(i, j)] * 10f64.powi((j % 7) as i32 - 3));
+            pivoted_qr_invariants(&a);
+            // Rank 2: the diagonal collapses after two steps.
+            let x = Mat::gaussian(m, 2, &mut rng);
+            let y = Mat::gaussian(2, n, &mut rng);
+            let diag = pivoted_qr_invariants(&x.matmul(&y));
+            assert!(diag[1] > 1e-3 * diag[0]);
+            assert!(diag[2..].iter().all(|&d| d < 1e-13 * diag[0]), "{diag:?}");
+        }
+        // Zero columns are pivoted to the end and leave zero rows in R.
+        let mut rng = Rng::seed_from_u64(19);
+        let g = Mat::gaussian(6, 4, &mut rng);
+        let a = Mat::from_fn(6, 4, |i, j| if j < 2 { 0.0 } else { g[(i, j)] });
+        let diag = pivoted_qr_invariants(&a);
+        assert_eq!(&diag[2..], &[0.0, 0.0]);
+        assert_eq!(pivoted_qr_invariants(&Mat::zeros(3, 3)), [0.0; 3]);
     }
 
     #[test]

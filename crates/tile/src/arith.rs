@@ -188,13 +188,22 @@ pub fn lr_gemm(c: &mut LrTile, a: &LrTile, b: &LrTile, eps: f64) -> Result<(), L
 /// more than the rank it needs.
 ///
 /// QR-factors both skinny sides, then SVD-truncates the small `r × r` core:
-/// `U Vᵀ = Q_u (R_u R_vᵀ) Q_vᵀ`. Falls back to a dense SVD when the current
-/// rank is no longer "skinny" (`r ≥ min(m,n)`), which can happen after many
+/// `U Vᵀ = Q_u (R_u R_vᵀ) Q_vᵀ`. The core SVD is
+/// [`exa_linalg::jacobi_svd`], one-sided Jacobi on a column-pivoted QR
+/// factor of the core. Falls back to a dense SVD when the current rank is no
+/// longer "skinny" (`r ≥ min(m,n)`), which can happen after many
 /// concatenations.
+///
+/// A NaN or an infinity in either factor is [`LinalgError::NonFinite`]
+/// (checked up front: the core product skips zero entries, so it could
+/// drop a NaN that meets only zeros).
 pub fn recompress(t: &mut LrTile, eps: f64) -> Result<(), LinalgError> {
     let r = t.rank();
     if r == 0 {
         return Ok(());
+    }
+    if t.u.iter().chain(&t.v).any(|x| !x.is_finite()) {
+        return Err(LinalgError::NonFinite);
     }
     let (m, n) = (t.rows, t.cols);
     if r >= m.min(n) {
@@ -428,6 +437,23 @@ mod tests {
         recompress(&mut t, 1e-13).unwrap();
         assert!(t.rank() <= 6);
         assert!(rel_diff(&dense_of(&t), &want) < 1e-10);
+    }
+
+    #[test]
+    fn recompress_rejects_non_finite_factors() {
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            // Skinny (core SVD) and overfull (dense fallback) tiles.
+            for (m, n, k) in [(10, 8, 3), (6, 9, 6)] {
+                let mut t = lr_random(m, n, k, 13);
+                t.v[2] = bad;
+                assert_eq!(recompress(&mut t, 1e-9), Err(LinalgError::NonFinite));
+            }
+            // A NaN that the core product would meet only with zeros.
+            let mut u = vec![0.0; 10 * 2];
+            u[0] = bad;
+            let mut t = LrTile::from_factors(10, 8, 2, u, vec![0.0; 8 * 2]);
+            assert_eq!(recompress(&mut t, 1e-9), Err(LinalgError::NonFinite));
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   rounding `lr_gemm` applies during the factorization). ACA reads only the
 //!   `O((m+n)·k)` entries of the rows and columns it pivots on, so with it
 //!   [`compress_kernel_block`] never materializes a dense off-diagonal tile.
-//! * [`CompressionMethod::Svd`] — exact Jacobi SVD of the dense tile, the
+//! * [`CompressionMethod::Svd`] — exact SVD of the dense tile (the
+//!   QR-preconditioned one-sided Jacobi of [`exa_linalg::jacobi_svd`]), the
 //!   reference the tests and golden bits compare against.
 
 use crate::arith::recompress;
@@ -24,7 +25,9 @@ pub enum CompressionMethod {
     /// Adaptive cross approximation rounded by [`recompress`] (production).
     #[default]
     Aca,
-    /// Exact one-sided Jacobi SVD of the dense tile (reference, `O(m n²)`).
+    /// Exact SVD of the dense tile (reference, `O(m n²)`): one-sided Jacobi
+    /// on the triangular factor of a column-pivoted QR, the same SVD that
+    /// truncates [`recompress`]'s core.
     Svd,
 }
 
@@ -90,6 +93,10 @@ pub fn compress_kernel_block<K: CovarianceKernel>(
 /// absolute threshold `eps`, then [`recompress`]es the crosses — which
 /// overshoot the rank the tile needs — to the same fixed-accuracy cut the
 /// SVD reference applies.
+///
+/// A NaN or an infinity among the entries it reads is
+/// [`LinalgError::NonFinite`]: its pivot search cannot see one, and would
+/// otherwise round an all-NaN tile to rank 0.
 pub fn aca(
     m: usize,
     n: usize,
@@ -107,6 +114,9 @@ pub fn aca(
         used_rows[i_star] = true;
         // Residual row i*: A[i*,:] − Σ_k u_k[i*] v_k.
         let mut row: Vec<f64> = (0..n).map(|j| entry(i_star, j)).collect();
+        if row.iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::NonFinite);
+        }
         for (u, v) in us.iter().zip(&vs) {
             let c = u[i_star];
             if c != 0.0 {
@@ -139,6 +149,9 @@ pub fn aca(
         let v_new: Vec<f64> = row.iter().map(|&r| r / pivot).collect();
         // Residual column j*: A[:,j*] − Σ_k u_k v_k[j*].
         let mut col: Vec<f64> = (0..m).map(|i| entry(i, j_star)).collect();
+        if col.iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::NonFinite);
+        }
         for (u, v) in us.iter().zip(&vs) {
             let c = v[j_star];
             if c != 0.0 {
@@ -299,6 +312,24 @@ mod tests {
         let z = vec![0.0; 100];
         let t2 = compress_dense(10, 10, &z, 10, 1e-9, CompressionMethod::Svd).unwrap();
         assert_eq!(t2.rank(), 0);
+    }
+
+    #[test]
+    fn non_finite_entries_are_an_error() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            // Everywhere: the pivot search finds nothing to pivot on.
+            let all = aca(6, 5, |_, _| bad, 1e-9);
+            assert_eq!(all.unwrap_err(), LinalgError::NonFinite, "all {bad}");
+            // One entry, in the first row ACA reads.
+            let one = aca(6, 5, |i, j| if (i, j) == (0, 3) { bad } else { 1.0 }, 1e-9);
+            assert_eq!(one.unwrap_err(), LinalgError::NonFinite, "one {bad}");
+            let mut a = vec![1.0; 30];
+            a[17] = bad;
+            for method in [CompressionMethod::Aca, CompressionMethod::Svd] {
+                let got = compress_dense(6, 5, &a, 6, 1e-9, method);
+                assert_eq!(got.unwrap_err(), LinalgError::NonFinite, "{method} {bad}");
+            }
+        }
     }
 
     #[test]
