@@ -17,29 +17,11 @@
 //! * [`simulate_cholesky`] / [`analytic_cholesky_seconds`] — the DES and its
 //!   closed-form fallback beyond [`MAX_DES_TASKS`].
 //! * [`predict_time`] — Figure 5's prediction-time model.
-//!
-//! # Serving-fleet mode
-//!
-//! Beyond the paper's batch runs, the crate also simulates the *serving*
-//! side of the system: a fleet of `exa-wire` nodes fronted by `exa-fleet`'s
-//! router, where the open question is model placement rather than task
-//! scheduling. The [`placement`] module defines the consistent-hash
-//! [`placement::PlacementMap`] and the [`placement::PlacementPolicy`] trait
-//! with three impls (ring-hash, explicit pins, replicate-top-k); the
-//! [`serving`] module replays Zipf-skewed popularity traces against
-//! simulated nodes (cores + LRU model cache + load-on-miss cost) and
-//! reports p99 latency and eviction churn per policy. The very same policy
-//! objects are consumed by the production router, so the simulator's verdict
-//! — replication for hot models beats any single-owner scheme once one
-//! model oversubscribes one node — is directly the deployed default. The
-//! `fleet_policies` binary reproduces the comparison table.
 
 pub mod blockcyclic;
 pub mod des;
 pub mod machine;
-pub mod placement;
 pub mod predict;
-pub mod serving;
 pub mod taskmodel;
 
 pub use blockcyclic::BlockCyclic;
@@ -48,9 +30,5 @@ pub use des::{
     SimStats, MAX_DES_TASKS,
 };
 pub use machine::MachineConfig;
-pub use placement::{
-    ExplicitPolicy, NodeId, PlacementMap, PlacementPolicy, ReplicateTopK, RingHashPolicy,
-};
 pub use predict::{phase_fractions, predict_time, PredictTiming};
-pub use serving::{compare_policies, run_policy, winner, FleetSimConfig, PolicyReport};
 pub use taskmodel::{CostModel, DenseCost, RankModel, TaskKind, TlrCost};

@@ -8,22 +8,19 @@
 //!
 //! ```text
 //!  clients ──▶ FleetRouter (one socket)
-//!                 │  PlacementPolicy: model → replica set
-//!                 │  (consistent-hash ring · pins · replicate-top-k)
+//!                 │  PlacementMap: model → replica set
+//!                 │  (consistent-hash ring · pins · replication)
 //!                 ├──▶ node a  ┐ WireClient keep-alive pools,
 //!                 ├──▶ node b  ├ verbatim predict relay (both codecs),
 //!                 └──▶ node c  ┘ health: Up ⇄ Suspect (cooldown)
 //! ```
 //!
-//! * **Placement** ([`PlacementMap`], re-exported from
-//!   [`exa_distsim::placement`]) — a consistent-hash ring with virtual
-//!   nodes, an explicit-override (pin) table, and a replication factor;
-//!   lookups are deterministic in (model name, ring epoch). The same
-//!   [`PlacementPolicy`] implementations drive both the production router
-//!   and the `exa-distsim` serving-fleet simulator, so the policy the
-//!   simulator crowns is *literally* the code the router runs — the
-//!   default, [`ReplicateTopK`], wins the simulated Zipf trace (see
-//!   `exa-distsim`'s `fleet_policies` bin).
+//! * **Placement** ([`PlacementMap`]) — one rule: a pinned model goes to
+//!   its live pinned nodes; every other model to the first `replication`
+//!   distinct live nodes clockwise from its point on a consistent-hash ring
+//!   with virtual nodes. Lookups are deterministic in (model name, map
+//!   epoch), so a model's replica set moves only when the fleet's topology,
+//!   pins or replication do — never with traffic.
 //! * **Routing** ([`FleetRouter`]) — terminates client connections with
 //!   `exa-wire`'s own HTTP machinery and relays predict bodies verbatim
 //!   (JSON and `x-exa-frame` alike — bit-identity with a direct node hit
@@ -63,13 +60,11 @@
 //! `503 no_replicas_available` (every replica unreachable) carries
 //! `Retry-After: 1` just like a single node's overload refusals.
 
+pub mod placement;
 pub mod pool;
 pub mod router;
 
-pub use exa_distsim::placement::{
-    ExplicitPolicy, NodeId, PlacementMap, PlacementPolicy, ReplicateTopK, RingHashPolicy,
-    DEFAULT_VNODES,
-};
+pub use placement::{NodeId, PlacementMap, DEFAULT_VNODES};
 pub use pool::{NodeHealth, NodePool};
 pub use router::{FleetRouter, RouterStats};
 
@@ -95,55 +90,15 @@ impl NodeSpec {
     }
 }
 
-/// Which placement policy the router runs. All three are the same
-/// implementations the `exa-distsim` serving-fleet simulator compares.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Pure consistent hashing: every model gets `replication` replicas
-    /// off the ring.
-    RingHash,
-    /// Ring placement with the pin table authoritative where present.
-    Explicit,
-    /// Ring placement, plus the `k` hottest models (by observed traffic)
-    /// get `hot_replication` replicas — the simulator's winner and the
-    /// default.
-    ReplicateTopK { k: usize, hot_replication: usize },
-}
-
-impl PolicyKind {
-    pub(crate) fn build(&self, map: PlacementMap) -> Box<dyn PlacementPolicy> {
-        match *self {
-            PolicyKind::RingHash => Box::new(RingHashPolicy::new(map)),
-            PolicyKind::Explicit => Box::new(ExplicitPolicy::new(map)),
-            PolicyKind::ReplicateTopK { k, hot_replication } => {
-                Box::new(ReplicateTopK::new(map, k, hot_replication))
-            }
-        }
-    }
-}
-
-impl Default for PolicyKind {
-    /// The `exa-distsim` serving-fleet comparison's winner on the default
-    /// Zipf trace (`replication_wins_on_the_default_trace` pins this).
-    fn default() -> Self {
-        PolicyKind::ReplicateTopK {
-            k: 4,
-            hot_replication: 2,
-        }
-    }
-}
-
 /// Router configuration; the defaults describe a small LAN fleet.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Router bind address (`"127.0.0.1:0"` for an ephemeral port).
     pub bind_addr: String,
-    /// Baseline replicas per model (clamped to the fleet size).
+    /// Replicas per model (clamped to the fleet size).
     pub replication: usize,
     /// Virtual nodes per physical node on the ring.
     pub vnodes: usize,
-    /// Placement policy (default: the simulator-validated winner).
-    pub policy: PolicyKind,
     /// Models pinned to explicit replica lists at startup (the override
     /// table; also editable at runtime via [`FleetRouter::pin`]).
     pub pins: Vec<(String, Vec<NodeId>)>,
@@ -162,43 +117,10 @@ impl Default for FleetConfig {
             bind_addr: "127.0.0.1:0".to_string(),
             replication: 2,
             vnodes: DEFAULT_VNODES,
-            policy: PolicyKind::default(),
             pins: Vec::new(),
             connect_timeout: Duration::from_secs(1),
             suspect_cooldown: Duration::from_secs(2),
             limits: Limits::default(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_policy_is_the_simulator_winner() {
-        // The distsim test `replication_wins_on_the_default_trace` pins
-        // the simulated winner; this pins the router to it.
-        let kind = PolicyKind::default();
-        let map = PlacementMap::new(vec!["a", "b"]);
-        assert_eq!(kind.build(map).name(), "replicate-top-k");
-    }
-
-    #[test]
-    fn policy_kinds_build_their_named_policies() {
-        for (kind, name) in [
-            (PolicyKind::RingHash, "ring-hash"),
-            (PolicyKind::Explicit, "explicit"),
-            (
-                PolicyKind::ReplicateTopK {
-                    k: 2,
-                    hot_replication: 2,
-                },
-                "replicate-top-k",
-            ),
-        ] {
-            let map = PlacementMap::new(vec!["a", "b", "c"]);
-            assert_eq!(kind.build(map).name(), name);
         }
     }
 }

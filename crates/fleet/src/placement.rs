@@ -1,29 +1,19 @@
 //! Model placement for a sharded serving fleet.
 //!
 //! A fleet of `exa-wire` nodes serves many fitted models; something has to
-//! decide which node(s) own which model. This module is that decision,
-//! factored out of the router so the *same* code runs in two places:
+//! decide which node(s) own which model. [`PlacementMap`] is that decision,
+//! and the router applies it to every predict and observe: a model's
+//! replica set is its pin if it has one, else the first `replication`
+//! distinct nodes clockwise from the model's point on a consistent-hash
+//! ring with virtual nodes for balance.
 //!
-//! * the serving-fleet simulator ([`crate::serving`]) evaluates candidate
-//!   policies on synthetic Zipf traces before anyone trusts them, and
-//! * `exa-fleet`'s `FleetRouter` consumes the identical [`PlacementPolicy`]
-//!   impls in production, so simulated and deployed decisions cannot drift.
-//!
-//! The core mechanism is [`PlacementMap`]: a consistent-hash ring with
-//! virtual nodes for balance, an explicit-override (pin) table, and a
-//! configurable replication factor. Lookup is a pure function of
-//! (model name, ring epoch): any router replica with the same map resolves
-//! the same owners, with no coordination.
-//!
-//! Three policies wrap the map:
-//!
-//! * [`RingHashPolicy`] — pure consistent hashing, the zero-knowledge default.
-//! * [`ExplicitPolicy`] — operator-pinned placements with ring fallback.
-//! * [`ReplicateTopK`] — observes traffic and widens the replica set of the
-//!   current top-`k` hottest models, so a model whose demand exceeds one
-//!   node's capacity is served by several.
+//! Lookup is a pure function of (model name, map epoch): any router with
+//! the same map resolves the same owners, with no coordination, and a
+//! replica set changes only when the epoch does (topology, pins,
+//! replication) — never with traffic, so every replica of a model sees
+//! every observe routed while its set stands.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Index of a node in the fleet's node list. Ids are stable for the life of a
 /// [`PlacementMap`]: removing a node retires the id rather than reusing it.
@@ -56,7 +46,7 @@ pub const DEFAULT_VNODES: usize = 64;
 /// Consistent-hash ring over fleet nodes with pins and replication.
 ///
 /// ```
-/// use exa_distsim::placement::PlacementMap;
+/// use exa_fleet::PlacementMap;
 /// let mut map = PlacementMap::new(vec!["node-a", "node-b", "node-c"]);
 /// let owner = map.primary("exp/germany").unwrap();
 /// // Pin a model somewhere specific; pins win over the ring.
@@ -195,7 +185,7 @@ impl PlacementMap {
     /// Replica set of an explicit size `n` (clamped to the live node count).
     /// The first entry is the primary owner: the first live node clockwise
     /// from the model's hash point.
-    pub fn replicas_n(&self, model: &str, n: usize) -> Vec<NodeId> {
+    fn replicas_n(&self, model: &str, n: usize) -> Vec<NodeId> {
         if let Some(pinned) = self.overrides.get(model) {
             let alive: Vec<NodeId> = pinned.iter().copied().filter(|&r| self.live[r]).collect();
             if !alive.is_empty() {
@@ -224,178 +214,6 @@ impl PlacementMap {
     /// Primary owner of `model`, if any node is live.
     pub fn primary(&self, model: &str) -> Option<NodeId> {
         self.replicas_n(model, 1).first().copied()
-    }
-}
-
-/// A placement decision procedure: model name → ordered replica set.
-///
-/// The first replica is the preferred owner; later entries are failover
-/// targets. [`PlacementPolicy::observe`] feeds the request stream back into
-/// the policy so adaptive impls ([`ReplicateTopK`]) can react; static
-/// policies ignore it. The same impls run inside the [`crate::serving`]
-/// simulator and inside `exa-fleet`'s router.
-pub trait PlacementPolicy: Send {
-    /// Short stable name used in reports and stats documents.
-    fn name(&self) -> &'static str;
-
-    /// Ordered replica set for `model`. Never empty while any node is live.
-    fn replicas(&self, model: &str) -> Vec<NodeId>;
-
-    /// Notifies the policy of one request for `model` (traffic feedback).
-    fn observe(&mut self, _model: &str) {}
-
-    /// Underlying ring epoch (bumped on topology/override changes).
-    fn epoch(&self) -> u64;
-
-    /// Mutable access to the underlying map, for topology changes at runtime
-    /// (node death, scale-out).
-    fn map_mut(&mut self) -> &mut PlacementMap;
-}
-
-/// Pure consistent hashing: every model is owned by its ring walk, nothing
-/// else. Zero knowledge, zero state, perfectly spreads *distinct models* —
-/// but a single model hotter than one node's capacity will melt that node.
-#[derive(Clone, Debug)]
-pub struct RingHashPolicy {
-    map: PlacementMap,
-}
-
-impl RingHashPolicy {
-    /// Wraps a map; lookups use the map's default replication factor.
-    pub fn new(map: PlacementMap) -> Self {
-        RingHashPolicy { map }
-    }
-}
-
-impl PlacementPolicy for RingHashPolicy {
-    fn name(&self) -> &'static str {
-        "ring-hash"
-    }
-    fn replicas(&self, model: &str) -> Vec<NodeId> {
-        self.map.replicas(model)
-    }
-    fn epoch(&self) -> u64 {
-        self.map.epoch()
-    }
-    fn map_mut(&mut self) -> &mut PlacementMap {
-        &mut self.map
-    }
-}
-
-/// Operator-controlled placement: pinned models go exactly where the pin
-/// says; everything else falls back to the ring. This is the policy for
-/// fleets whose hot set is known a priori (e.g. one flagship model per
-/// region) — it cannot adapt when the trace shifts.
-#[derive(Clone, Debug)]
-pub struct ExplicitPolicy {
-    map: PlacementMap,
-}
-
-impl ExplicitPolicy {
-    /// Wraps a map whose pin table ([`PlacementMap::pin`]) is the explicit
-    /// placement. Unpinned models fall back to the ring walk.
-    pub fn new(map: PlacementMap) -> Self {
-        ExplicitPolicy { map }
-    }
-}
-
-impl PlacementPolicy for ExplicitPolicy {
-    fn name(&self) -> &'static str {
-        "explicit"
-    }
-    fn replicas(&self, model: &str) -> Vec<NodeId> {
-        self.map.replicas(model)
-    }
-    fn epoch(&self) -> u64 {
-        self.map.epoch()
-    }
-    fn map_mut(&mut self) -> &mut PlacementMap {
-        &mut self.map
-    }
-}
-
-/// How many observations between hot-set refreshes in [`ReplicateTopK`].
-/// Refreshing on a stride keeps `observe` O(1) amortized while the hot set
-/// still tracks a shifting trace within ~one stride.
-const TOPK_REFRESH_STRIDE: u64 = 128;
-
-/// Adaptive replication: counts per-model traffic and serves the current
-/// top-`k` models from `hot_replication` ring replicas instead of the map's
-/// default. The widened set is the *same ring walk, extended* — it always
-/// starts at the model's primary, so promoting or demoting a model never
-/// strands requests on a node that never owned it.
-#[derive(Clone, Debug)]
-pub struct ReplicateTopK {
-    map: PlacementMap,
-    k: usize,
-    hot_replication: usize,
-    counts: HashMap<String, u64>,
-    hot: HashSet<String>,
-    observed: u64,
-}
-
-impl ReplicateTopK {
-    /// `k` models may be hot at once; each is served from `hot_replication`
-    /// replicas (clamped to the live node count at lookup).
-    pub fn new(map: PlacementMap, k: usize, hot_replication: usize) -> Self {
-        assert!(hot_replication > 0, "hot_replication must be positive");
-        ReplicateTopK {
-            map,
-            k,
-            hot_replication,
-            counts: HashMap::new(),
-            hot: HashSet::new(),
-            observed: 0,
-        }
-    }
-
-    /// Current hot set (models replicated at the widened factor).
-    pub fn hot_models(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.hot.iter().cloned().collect();
-        v.sort();
-        v
-    }
-
-    fn refresh_hot(&mut self) {
-        let mut by_count: Vec<(&String, &u64)> = self.counts.iter().collect();
-        // Sort by count desc, name asc — the tiebreak keeps refreshes
-        // deterministic under HashMap iteration order.
-        by_count.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-        self.hot = by_count
-            .into_iter()
-            .take(self.k)
-            .map(|(name, _)| name.clone())
-            .collect();
-    }
-}
-
-impl PlacementPolicy for ReplicateTopK {
-    fn name(&self) -> &'static str {
-        "replicate-top-k"
-    }
-
-    fn replicas(&self, model: &str) -> Vec<NodeId> {
-        if self.hot.contains(model) {
-            self.map.replicas_n(model, self.hot_replication)
-        } else {
-            self.map.replicas(model)
-        }
-    }
-
-    fn observe(&mut self, model: &str) {
-        *self.counts.entry(model.to_string()).or_insert(0) += 1;
-        self.observed += 1;
-        if self.observed.is_multiple_of(TOPK_REFRESH_STRIDE) {
-            self.refresh_hot();
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        self.map.epoch()
-    }
-
-    fn map_mut(&mut self) -> &mut PlacementMap {
-        &mut self.map
     }
 }
 
@@ -475,37 +293,5 @@ mod tests {
         let d = m.add_node("d");
         assert_eq!(d, 3);
         assert_eq!(m.node_name(d), "d");
-    }
-
-    #[test]
-    fn topk_widens_hot_models_only() {
-        let map = three();
-        let mut p = ReplicateTopK::new(map, 1, 3);
-        // Drive enough traffic at "hot" to cross a refresh stride.
-        for _ in 0..TOPK_REFRESH_STRIDE + 1 {
-            p.observe("hot");
-        }
-        p.observe("cold");
-        assert_eq!(p.hot_models(), vec!["hot".to_string()]);
-        assert_eq!(p.replicas("hot").len(), 3);
-        assert_eq!(p.replicas("cold").len(), 1);
-        // Widened set extends the primary's ring walk.
-        let primary = p.replicas("cold")[0];
-        let _ = primary;
-        assert_eq!(p.replicas("hot")[0], {
-            let m = three();
-            m.primary("hot").unwrap()
-        });
-    }
-
-    #[test]
-    fn policy_names_are_distinct() {
-        let names = [
-            RingHashPolicy::new(three()).name(),
-            ExplicitPolicy::new(three()).name(),
-            ReplicateTopK::new(three(), 1, 2).name(),
-        ];
-        let set: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(set.len(), 3);
     }
 }

@@ -25,11 +25,11 @@
 //!
 //! [`WireClient`]: exa_wire::WireClient
 
+use crate::placement::{NodeId, PlacementMap};
 use crate::pool::{NodeHealth, NodePool};
 use crate::{FleetConfig, NodeSpec};
-use exa_distsim::placement::{NodeId, PlacementMap, PlacementPolicy};
 use exa_telemetry::{Histogram, PromText, TraceId, TRACE_HEADER};
-use exa_wire::http::{self, HttpError, Limits, ParseProgress, Request, RequestParser};
+use exa_wire::http::{self, Limits, ParseProgress, Request, RequestParser};
 use exa_wire::json::{Json, JsonWriter};
 use exa_wire::WireResponse;
 use std::collections::HashSet;
@@ -120,8 +120,7 @@ struct Counters {
 
 struct Shared {
     nodes: Vec<NodePool>,
-    policy: Mutex<Box<dyn PlacementPolicy>>,
-    policy_name: &'static str,
+    map: Mutex<PlacementMap>,
     counters: Counters,
     shutting_down: AtomicBool,
     limits: Limits,
@@ -249,9 +248,7 @@ impl FleetRouter {
         for (model, replicas) in &config.pins {
             map.pin(model.clone(), replicas.clone());
         }
-        let policy = config.policy.build(map);
-        let policy_name = policy.name();
-        let last_epoch = policy.epoch();
+        let last_epoch = map.epoch();
         let pools = nodes
             .iter()
             .map(|spec| NodePool::new(&spec.name, spec.addr, config.connect_timeout))
@@ -260,8 +257,7 @@ impl FleetRouter {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             nodes: pools,
-            policy: Mutex::new(policy),
-            policy_name,
+            map: Mutex::new(map),
             counters: Counters::default(),
             shutting_down: AtomicBool::new(false),
             limits: config.limits,
@@ -292,12 +288,6 @@ impl FleetRouter {
         self.local_addr
     }
 
-    /// Name of the placement policy in force (`"replicate-top-k"` by
-    /// default — the winner of the `exa-distsim` serving-fleet comparison).
-    pub fn policy_name(&self) -> &'static str {
-        self.shared.policy_name
-    }
-
     /// Router counter snapshot.
     pub fn stats(&self) -> RouterStats {
         self.shared.stats()
@@ -311,14 +301,14 @@ impl FleetRouter {
     /// Pins `model` to an explicit replica list, overriding the ring;
     /// bumps the placement epoch (visible as a rebalance).
     pub fn pin(&self, model: &str, replicas: Vec<NodeId>) {
-        let mut policy = self.shared.policy.lock().expect("policy lock");
-        policy.map_mut().pin(model.to_string(), replicas);
+        let mut map = self.shared.map.lock().expect("placement lock");
+        map.pin(model.to_string(), replicas);
     }
 
     /// Removes a pin, returning `model` to ring placement.
     pub fn unpin(&self, model: &str) {
-        let mut policy = self.shared.policy.lock().expect("policy lock");
-        policy.map_mut().unpin(model);
+        let mut map = self.shared.map.lock().expect("placement lock");
+        map.unpin(model);
     }
 
     /// Stops accepting, lets in-flight requests finish, joins every
@@ -456,20 +446,15 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 let _ = stream.write_all(&http::encode_response(
                     err.status(),
                     "application/json",
-                    error_body(http_error_code(&err), &err.to_string()).as_bytes(),
+                    // The backend labels every HTTP-level violation
+                    // `bad_request`; the router speaks the same envelope.
+                    error_body("bad_request", &err.to_string()).as_bytes(),
                     false,
                 ));
                 return;
             }
         }
     }
-}
-
-fn http_error_code(err: &HttpError) -> &'static str {
-    // The backend labels every HTTP-level violation `bad_request`; the
-    // router speaks the same envelope.
-    let _ = err;
-    "bad_request"
 }
 
 fn route(shared: &Shared, request: &Request) -> Reply {
@@ -508,9 +493,24 @@ fn health(shared: &Shared) -> Reply {
     w.field_str("status", "ok");
     w.field_uint("nodes", shared.nodes.len() as u64);
     w.field_uint("nodes_up", live as u64);
-    w.field_str("policy", shared.policy_name);
     w.end_object();
     Reply::ok_json(w.finish())
+}
+
+/// `model`'s replica set under the current placement map; the first
+/// handler to see a new map epoch counts it as a rebalance.
+fn replicas_of(shared: &Shared, model: &str) -> Vec<NodeId> {
+    let (replicas, epoch) = {
+        let map = shared.map.lock().expect("placement lock");
+        (map.replicas(model), map.epoch())
+    };
+    // ORDERING: SeqCst — epoch swaps from concurrent handlers must form one
+    // total order so exactly one handler observes each transition and the
+    // rebalance counter moves once per epoch change.
+    if shared.last_epoch.swap(epoch, Ordering::SeqCst) != epoch {
+        shared.counters.rebalances.fetch_add(1, Ordering::Relaxed);
+    }
+    replicas
 }
 
 /// The predict relay entry point: mints (or adopts) the request's trace
@@ -543,21 +543,11 @@ fn proxy_predict(shared: &Shared, request: &Request, model: &str) -> Reply {
 ///   the rest of the replica set before letting the 404 through.
 /// * Everything else (including backend 4xx/5xx) is the answer.
 fn relay_predict(shared: &Shared, request: &Request, model: &str, trace_hex: &str) -> Reply {
-    let (replicas, epoch) = {
-        let mut policy = shared.policy.lock().expect("policy lock");
-        policy.observe(model);
-        (policy.replicas(model), policy.epoch())
-    };
-    // ORDERING: SeqCst — epoch swaps from concurrent handlers must form one
-    // total order so exactly one handler observes each transition and the
-    // rebalance counter moves once per epoch change.
-    if shared.last_epoch.swap(epoch, Ordering::SeqCst) != epoch {
-        shared.counters.rebalances.fetch_add(1, Ordering::Relaxed);
-    }
+    let replicas = replicas_of(shared, model);
     if replicas.is_empty() {
         return Reply::error(503, "no_replicas_available", "the fleet has no live nodes");
     }
-    // Rotate the starting replica so a replicated hot model's traffic
+    // Rotate the starting replica so a replicated model's traffic
     // spreads instead of hammering its primary, then sort suspects last.
     let offset = if replicas.len() > 1 {
         shared.rotate.fetch_add(1, Ordering::Relaxed) % replicas.len()
@@ -717,17 +707,7 @@ struct ObserveOutcome {
 /// stale-marked too (the replicas no longer agree). `404 unknown_model`
 /// replicas hold nothing that can go stale and stay healthy.
 fn fan_observe(shared: &Shared, request: &Request, model: &str, trace_hex: &str) -> Reply {
-    let (replicas, epoch) = {
-        let mut policy = shared.policy.lock().expect("policy lock");
-        policy.observe(model);
-        (policy.replicas(model), policy.epoch())
-    };
-    // ORDERING: SeqCst — epoch swaps from concurrent handlers must form one
-    // total order so exactly one handler observes each transition and the
-    // rebalance counter moves once per epoch change.
-    if shared.last_epoch.swap(epoch, Ordering::SeqCst) != epoch {
-        shared.counters.rebalances.fetch_add(1, Ordering::Relaxed);
-    }
+    let replicas = replicas_of(shared, model);
     if replicas.is_empty() {
         return Reply::error(503, "no_replicas_available", "the fleet has no live nodes");
     }
@@ -954,8 +934,7 @@ fn clear_stale(shared: &Shared, node: NodeId, model: &str) {
 /// unreachable node reports `null` documents and its health instead).
 fn fleet_stats(shared: &Shared) -> Reply {
     let (live, replication, epoch) = {
-        let mut policy = shared.policy.lock().expect("policy lock");
-        let map = policy.map_mut();
+        let map = shared.map.lock().expect("placement lock");
         (map.live_nodes(), map.replication(), map.epoch())
     };
     // Collect every node's documents BEFORE reading the router counters:
@@ -973,7 +952,6 @@ fn fleet_stats(shared: &Shared) -> Reply {
     w.begin_object();
     w.field_uint("nodes", shared.nodes.len() as u64);
     w.field_uint("placement_nodes", live as u64);
-    w.field_str("policy", shared.policy_name);
     w.field_uint("replication", replication as u64);
     w.field_uint("epoch", epoch);
     w.end_object();

@@ -3,7 +3,7 @@
 //! the `/v1/fleet/stats` aggregate.
 
 use exa_covariance::{Location, MaternKernel};
-use exa_fleet::{FleetConfig, FleetRouter, NodeSpec, PolicyKind};
+use exa_fleet::{FleetConfig, FleetRouter, NodeSpec};
 use exa_geostat::{Backend, FittedModel, GeoModel};
 use exa_runtime::Runtime;
 use exa_serve::ModelRegistry;
@@ -187,7 +187,6 @@ fn killing_one_node_leaves_replicated_models_servable() {
     let router = fleet_of(
         &refs,
         FleetConfig {
-            policy: PolicyKind::RingHash,
             replication: 3,
             ..FleetConfig::default()
         },
@@ -268,11 +267,6 @@ fn fleet_stats_aggregates_every_node() {
 
     let fleet = doc.get("fleet").unwrap();
     assert_eq!(fleet.get("nodes").and_then(|v| v.as_u64()), Some(3));
-    assert_eq!(
-        fleet.get("policy").and_then(|v| v.as_str()),
-        Some("replicate-top-k"),
-        "the router default must be the simulator's winner"
-    );
     let per_node = doc.get("nodes").and_then(|n| n.as_array()).unwrap();
     assert_eq!(per_node.len(), 3);
     let mut residency = 0;
@@ -329,13 +323,7 @@ fn runtime_pins_rebalance_and_override_placement() {
         .map(|_| start_node(&catalog, &["alpha"], false))
         .collect();
     let refs: Vec<&WireServer<MaternKernel>> = nodes.iter().collect();
-    let router = fleet_of(
-        &refs,
-        FleetConfig {
-            policy: PolicyKind::Explicit,
-            ..FleetConfig::default()
-        },
-    );
+    let router = fleet_of(&refs, FleetConfig::default());
 
     let mut client = WireClient::connect(router.local_addr()).unwrap();
     client.predict("alpha", &targets()).unwrap();

@@ -5,7 +5,7 @@
 //! copy before it serves again.
 
 use exa_covariance::{Location, MaternKernel};
-use exa_fleet::{FleetConfig, FleetRouter, NodeSpec, PolicyKind};
+use exa_fleet::{FleetConfig, FleetRouter, NodeSpec};
 use exa_geostat::{Backend, FittedModel, GeoModel, LiveModel, LivePolicy};
 use exa_runtime::Runtime;
 use exa_serve::ModelRegistry;
@@ -81,7 +81,6 @@ fn fleet_of(nodes: &[&WireServer<MaternKernel>], replication: usize) -> FleetRou
     FleetRouter::start(
         specs,
         FleetConfig {
-            policy: PolicyKind::RingHash,
             replication,
             ..FleetConfig::default()
         },
@@ -146,6 +145,59 @@ fn observe_fans_to_every_replica_and_predicts_stay_bit_identical() {
             assert_eq!(wire.panics_contained, 0, "{codec}");
         }
     }
+}
+
+/// A model's replica set is a function of its name and the placement
+/// epoch, never of traffic. With `replication: 1` on two nodes that both
+/// hold `alpha`, the observe lands on alpha's one ring owner, and every
+/// later predict — 300 per codec, well past any request-count threshold —
+/// must still go to that owner and carry the in-process
+/// `LiveModel::observe` bits. A router that widened a model's replica set
+/// once it turned hot (an adaptive top-k hot set refreshed every 128
+/// requests, with no epoch bump and no stale mark) fails this: rotation
+/// then sends about half the predicts to the node whose copy never saw
+/// the observe.
+#[test]
+fn replica_sets_do_not_widen_with_traffic() {
+    let base = fitted(64, 91);
+    let (pts, vals) = fresh_points(3, 92);
+    let q = targets(4, 93);
+
+    let rt = Runtime::new(2);
+    let reference = LiveModel::new(Arc::clone(&base), LivePolicy::default());
+    reference.observe(&pts, &vals, &rt).unwrap();
+    let expected = reference.snapshot().predict_batch(&[&q]).unwrap();
+
+    let nodes: Vec<_> = (0..2)
+        .map(|_| start_node(Some(&base), WireConfig::default()))
+        .collect();
+    let refs: Vec<&WireServer<MaternKernel>> = nodes.iter().collect();
+    let router = fleet_of(&refs, 1);
+    let mut client = WireClient::connect(router.local_addr()).unwrap();
+    let obs = client.observe("alpha", &pts, &vals).expect("fleet observe");
+    assert_eq!(obs.accepted, pts.len() as u64);
+
+    for codec in [Codec::Json, Codec::Binary] {
+        client.set_codec(codec);
+        for round in 0..300 {
+            let served = client.predict("alpha", &q).unwrap();
+            assert_eq!(
+                bits(&served.mean),
+                bits(&expected[0].values),
+                "{codec} round {round}: a predict reached a replica that \
+                 never saw the observe"
+            );
+        }
+    }
+
+    let stats = router.shutdown();
+    assert_eq!(stats.observes_relayed, 1);
+    assert_eq!(stats.rebalances, 0, "traffic must not move placement");
+    let applied: u64 = nodes
+        .into_iter()
+        .map(|node| node.shutdown().1.observes_applied)
+        .sum();
+    assert_eq!(applied, 1, "replication 1 writes exactly one node");
 }
 
 /// One replica rejects the observe (its body cap is smaller than the

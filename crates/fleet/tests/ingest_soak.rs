@@ -20,7 +20,7 @@
 //!   document is dumped there (uploaded by CI on failure).
 
 use exa_covariance::{Location, MaternKernel};
-use exa_fleet::{FleetConfig, FleetRouter, NodeSpec, PolicyKind};
+use exa_fleet::{FleetConfig, FleetRouter, NodeSpec};
 use exa_geostat::{Backend, FittedModel, GeoModel};
 use exa_runtime::Runtime;
 use exa_serve::ModelRegistry;
@@ -152,7 +152,6 @@ fn ingest_soak_stays_consistent_through_background_refits() {
     let router = FleetRouter::start(
         specs,
         FleetConfig {
-            policy: PolicyKind::RingHash,
             replication: 3,
             ..FleetConfig::default()
         },

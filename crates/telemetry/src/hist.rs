@@ -299,7 +299,7 @@ mod check_models {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantile::quantile;
+    use exa_util::stats::quantile;
 
     #[test]
     fn bucket_index_is_monotone_and_continuous() {

@@ -1,10 +1,8 @@
 //! **exa-telemetry** — zero-dependency observability primitives for the
 //! serving stack.
 //!
-//! The paper's performance story is told in tail latencies, but until PR 8
-//! the production path recorded only mean/max while real percentiles lived
-//! in the `exa-distsim` simulator. This crate gives every serving layer the
-//! same instruments the simulator has:
+//! The paper's performance story is told in tail latencies; this crate
+//! gives every serving layer the instruments to report them:
 //!
 //! * [`Histogram`] — a lock-free log-linear latency histogram
 //!   (HdrHistogram-style): an atomic bucket array with 32 subdivisions per
@@ -12,10 +10,6 @@
 //!   at most **1/32 ≈ 3.2 %** of its lower bound. Recording is two relaxed
 //!   `fetch_add`s; [`HistogramSnapshot`]s are mergeable and answer
 //!   p50/p95/p99/p999 plus count/sum.
-//! * [`quantile`] / [`quantile_sorted`] — the exact type-7 quantile
-//!   helpers, hosted here (at the bottom of the workspace) so the distsim
-//!   simulator and the histogram agreement tests share one implementation;
-//!   `exa-util::stats` re-exports them for its existing callers.
 //! * [`TraceId`] + [`TRACE_HEADER`] — a 64-bit request trace id, minted at
 //!   the outermost tier (the fleet router, or the node for direct hits)
 //!   and propagated via the `x-exa-trace-id` header so one request can be
@@ -47,14 +41,12 @@
 
 pub mod hist;
 pub mod prom;
-mod quantile;
 pub mod slow;
 mod stat;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, MAX_RELATIVE_ERROR};
 pub use prom::{escape_label, validate_exposition, PromText};
-pub use quantile::{quantile, quantile_sorted};
 pub use slow::{SlowEntry, SlowRing, DEFAULT_SLOW_CAPACITY, DEFAULT_SLOW_WINDOW};
 pub use stat::{doc_text, Kind, Stat, Value};
 pub use trace::{TraceId, TRACE_HEADER};

@@ -8,12 +8,15 @@
 //! * [`rng`] — xoshiro256++ PRNG with SplitMix64 seeding, stream splitting and
 //!   Gaussian sampling. Used by every stochastic component (location and
 //!   field generation, Monte-Carlo studies, randomized tests).
+//! * [`mod@quantile`] — the exact type-7 (R default) quantile, re-exported by
+//!   [`stats`].
 //! * [`stats`] — descriptive statistics: mean, variance, quantiles, and the
 //!   five-number boxplot summaries used to report Figures 6 and 7.
 //! * [`table`] — fixed-width ASCII table rendering for the figure/table
 //!   harnesses (the paper's tables are reprinted in the same row layout).
 //! * [`timing`] — a tiny stopwatch and human-readable duration formatting.
 
+pub mod quantile;
 pub mod rng;
 pub mod stats;
 pub mod table;

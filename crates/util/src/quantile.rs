@@ -1,9 +1,5 @@
-//! Exact quantiles (shared by the simulator and the histogram tests).
-//!
-//! These helpers used to live in `exa-util::stats`, but the histogram
-//! agreement tests and the `exa-distsim` serving simulator both need them,
-//! and `exa-util` sits above this crate in the dependency order — so the
-//! one implementation is hosted here and `exa-util::stats` re-exports it.
+//! Exact type-7 quantiles, re-exported by [`crate::stats`] for the boxplot
+//! summaries and by the benchmark harness as `exa_util::stats::quantile_sorted`.
 
 /// Linear-interpolation quantile (type-7, same convention as R's default).
 ///

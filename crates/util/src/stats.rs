@@ -39,10 +39,7 @@ pub fn mse(truth: &[f64], prediction: &[f64]) -> f64 {
         / truth.len() as f64
 }
 
-// The exact type-7 quantile implementation lives in `exa-telemetry` (the
-// workspace's bottom layer) so the latency-histogram agreement tests and
-// the distsim simulator share it; re-exported here for existing callers.
-pub use exa_telemetry::{quantile, quantile_sorted};
+pub use crate::quantile::{quantile, quantile_sorted};
 
 /// Five-number boxplot summary plus mean, as printed by the Fig. 6/7
 /// harnesses. Whiskers follow the Tukey convention (1.5 IQR, clamped to the

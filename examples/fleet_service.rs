@@ -7,7 +7,8 @@
 //!    factorizations anywhere in this program;
 //! 2. start three loader-capable [`WireServer`] nodes (no model resident
 //!    anywhere — the fleet pulls models on first routed miss) and a
-//!    [`FleetRouter`] over them with the default `replicate-top-k` policy;
+//!    [`FleetRouter`] over them that places each model on its two ring
+//!    replicas;
 //! 3. from a client thread, predict through the router under both codecs
 //!    (answers are bit-identical to a direct node hit by construction),
 //!    then read the aggregate `/v1/fleet/stats` document;
@@ -83,10 +84,7 @@ fn main() {
         .collect();
     let router = FleetRouter::start(specs, FleetConfig::default()).expect("bind router");
     let addr = router.local_addr();
-    println!(
-        "\nrouter on http://{addr} (policy {}) — try from another terminal:",
-        router.policy_name()
-    );
+    println!("\nrouter on http://{addr} — try from another terminal:");
     println!("  curl http://{addr}/healthz");
     println!("  curl http://{addr}/v1/fleet/stats");
     println!("  curl -d '{{\"targets\":[[0.25,0.75]],\"variance\":true}}' http://{addr}/v1/models/soil/predict");

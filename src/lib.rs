@@ -105,9 +105,7 @@ pub mod prelude {
         MaternKernel, MaternParams, ParamCovariance, PoweredExponentialKernel,
         PoweredExponentialParams,
     };
-    pub use exa_fleet::{
-        FleetConfig, FleetRouter, NodeSpec, PlacementMap, PlacementPolicy, PolicyKind, RouterStats,
-    };
+    pub use exa_fleet::{FleetConfig, FleetRouter, NodeSpec, PlacementMap, RouterStats};
     pub use exa_geostat::{
         eval_log_likelihood, factorization_count, holdout_split, prediction_mse,
         synthetic_locations, synthetic_locations_n, Backend, Factorization, FieldSimulator,
