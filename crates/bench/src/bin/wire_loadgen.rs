@@ -237,15 +237,7 @@ fn main() {
         "  points served     {:>10} ({} per request)",
         serve.points_served, points
     );
-    println!("  batches executed  {:>10}", serve.batches_executed);
-    println!(
-        "  mean batch size   {:>10.1} requests",
-        serve.mean_batch_requests()
-    );
-    println!(
-        "  coalesced         {:>10} requests",
-        serve.requests_coalesced
-    );
+    println!("  model calls       {:>10}", serve.batches_executed);
     println!("  queue high-water  {:>10}", serve.max_queue_depth);
     println!(
         "  latency mean/max  {:>7.0} / {:.0} µs (server-side)",

@@ -16,11 +16,13 @@
 //! ```
 //!
 //! * **Placement** ([`PlacementMap`]) — one rule: a pinned model goes to
-//!   its live pinned nodes; every other model to the first `replication`
-//!   distinct live nodes clockwise from its point on a consistent-hash ring
-//!   with virtual nodes. Lookups are deterministic in (model name, map
-//!   epoch), so a model's replica set moves only when the fleet's topology,
-//!   pins or replication do — never with traffic.
+//!   its pinned nodes; every other model to the first `replication`
+//!   distinct nodes clockwise from its point on a consistent-hash ring
+//!   with [`DEFAULT_VNODES`] virtual nodes per node. Lookups are
+//!   deterministic in (model name, map epoch), so a model's replica set
+//!   moves only when the fleet's pins or replication do — never with
+//!   traffic. A suspect node stays on the ring; the router tries it last
+//!   until its cooldown ends.
 //! * **Routing** ([`FleetRouter`]) — terminates client connections with
 //!   `exa-wire`'s own HTTP machinery and relays predict bodies verbatim
 //!   (JSON and `x-exa-frame` alike — bit-identity with a direct node hit
@@ -97,8 +99,6 @@ pub struct FleetConfig {
     pub bind_addr: String,
     /// Replicas per model (clamped to the fleet size).
     pub replication: usize,
-    /// Virtual nodes per physical node on the ring.
-    pub vnodes: usize,
     /// Models pinned to explicit replica lists at startup (the override
     /// table; also editable at runtime via [`FleetRouter::pin`]).
     pub pins: Vec<(String, Vec<NodeId>)>,
@@ -116,7 +116,6 @@ impl Default for FleetConfig {
         FleetConfig {
             bind_addr: "127.0.0.1:0".to_string(),
             replication: 2,
-            vnodes: DEFAULT_VNODES,
             pins: Vec::new(),
             connect_timeout: Duration::from_secs(1),
             suspect_cooldown: Duration::from_secs(2),

@@ -9,14 +9,16 @@
 //!
 //! Lookup is a pure function of (model name, map epoch): any router with
 //! the same map resolves the same owners, with no coordination, and a
-//! replica set changes only when the epoch does (topology, pins,
-//! replication) — never with traffic, so every replica of a model sees
-//! every observe routed while its set stands.
+//! replica set changes only when the epoch does (pins, replication) —
+//! never with traffic, so every replica of a model sees every observe
+//! routed while its set stands. Ring membership is fixed at construction:
+//! the router never adds or removes nodes, it only skips a suspect node per
+//! request.
 
 use std::collections::HashMap;
 
-/// Index of a node in the fleet's node list. Ids are stable for the life of a
-/// [`PlacementMap`]: removing a node retires the id rather than reusing it.
+/// Index of a node in the fleet's node list (the order given to
+/// [`PlacementMap::new`]).
 pub type NodeId = usize;
 
 /// FNV-1a 64-bit with a Murmur3 avalanche finalizer. Plain FNV is not
@@ -56,16 +58,15 @@ pub const DEFAULT_VNODES: usize = 64;
 /// ```
 #[derive(Clone, Debug)]
 pub struct PlacementMap {
-    /// Node names by id. Never shrinks; `live[id]` marks membership.
+    /// Node names by id.
     nodes: Vec<String>,
-    live: Vec<bool>,
     vnodes: usize,
     replication: usize,
-    /// Sorted `(hash point, node)` pairs for live nodes only.
+    /// Sorted `(hash point, node)` pairs.
     ring: Vec<(u64, NodeId)>,
     /// Explicit overrides: model name → replica list (pins win over the ring).
     overrides: HashMap<String, Vec<NodeId>>,
-    /// Bumped on every topology or override change.
+    /// Bumped on every ring, replication or override change.
     epoch: u64,
 }
 
@@ -73,11 +74,8 @@ impl PlacementMap {
     /// Builds a map over the given nodes with [`DEFAULT_VNODES`] virtual
     /// nodes and a replication factor of 1.
     pub fn new<S: Into<String>>(nodes: Vec<S>) -> Self {
-        let nodes: Vec<String> = nodes.into_iter().map(Into::into).collect();
-        let live = vec![true; nodes.len()];
         let mut map = PlacementMap {
-            nodes,
-            live,
+            nodes: nodes.into_iter().map(Into::into).collect(),
             vnodes: DEFAULT_VNODES,
             replication: 1,
             ring: Vec::new(),
@@ -97,7 +95,7 @@ impl PlacementMap {
     }
 
     /// Sets the default replication factor (builder style). Clamped to the
-    /// live node count at lookup time.
+    /// node count at lookup time.
     pub fn with_replication(mut self, replication: usize) -> Self {
         assert!(replication > 0, "replication must be positive");
         self.replication = replication;
@@ -108,9 +106,6 @@ impl PlacementMap {
     fn rebuild(&mut self) {
         self.ring.clear();
         for (id, name) in self.nodes.iter().enumerate() {
-            if !self.live[id] {
-                continue;
-            }
             for v in 0..self.vnodes {
                 let label = format!("{name}#{v}");
                 self.ring.push((fnv1a(label.as_bytes()), id));
@@ -118,25 +113,6 @@ impl PlacementMap {
         }
         self.ring.sort_unstable();
         self.epoch += 1;
-    }
-
-    /// Adds a node and returns its id.
-    pub fn add_node<S: Into<String>>(&mut self, name: S) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes.push(name.into());
-        self.live.push(true);
-        self.rebuild();
-        id
-    }
-
-    /// Removes a node from the ring. Its id is retired, not reused; pins
-    /// referencing it are filtered at lookup time.
-    pub fn remove_node(&mut self, id: NodeId) {
-        assert!(id < self.nodes.len(), "unknown node id {id}");
-        if self.live[id] {
-            self.live[id] = false;
-            self.rebuild();
-        }
     }
 
     /// Pins a model to an explicit replica list, overriding the ring.
@@ -155,17 +131,8 @@ impl PlacementMap {
         }
     }
 
-    /// Number of live nodes.
-    pub fn live_nodes(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
-    }
-
-    /// Name of a node id (also valid for retired ids).
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.nodes[id]
-    }
-
-    /// Current ring epoch; bumped on every topology or override change.
+    /// Current ring epoch; bumped on every ring, replication or override
+    /// change.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -176,23 +143,19 @@ impl PlacementMap {
     }
 
     /// Replica set for `model` at the default replication factor, preference
-    /// order. Pins win over the ring; dead pinned nodes are filtered and an
-    /// all-dead pin falls back to the ring.
+    /// order. Pins win over the ring; an empty pin falls back to it.
     pub fn replicas(&self, model: &str) -> Vec<NodeId> {
         self.replicas_n(model, self.replication)
     }
 
-    /// Replica set of an explicit size `n` (clamped to the live node count).
-    /// The first entry is the primary owner: the first live node clockwise
-    /// from the model's hash point.
+    /// Replica set of an explicit size `n` (clamped to the node count).
+    /// The first entry is the primary owner: the first node clockwise from
+    /// the model's hash point.
     fn replicas_n(&self, model: &str, n: usize) -> Vec<NodeId> {
-        if let Some(pinned) = self.overrides.get(model) {
-            let alive: Vec<NodeId> = pinned.iter().copied().filter(|&r| self.live[r]).collect();
-            if !alive.is_empty() {
-                return alive;
-            }
+        if let Some(pinned) = self.overrides.get(model).filter(|p| !p.is_empty()) {
+            return pinned.clone();
         }
-        let want = n.min(self.live_nodes()).max(1);
+        let want = n.min(self.nodes.len()).max(1);
         let mut out = Vec::with_capacity(want);
         if self.ring.is_empty() {
             return out;
@@ -211,7 +174,7 @@ impl PlacementMap {
         out
     }
 
-    /// Primary owner of `model`, if any node is live.
+    /// Primary owner of `model`, if the map has any node.
     pub fn primary(&self, model: &str) -> Option<NodeId> {
         self.replicas_n(model, 1).first().copied()
     }
@@ -254,14 +217,12 @@ mod tests {
     #[test]
     fn pins_win_over_ring_and_fall_back_when_dead() {
         let mut m = three();
-        m.pin("hot", vec![2]);
-        assert_eq!(m.replicas("hot"), vec![2]);
-        m.remove_node(2);
-        let fallback = m.replicas("hot");
-        assert_eq!(fallback.len(), 1);
-        assert!(fallback[0] < 2, "dead pin must fall back to the ring");
+        let ring = m.replicas("hot");
+        let pinned = (ring[0] + 1) % 3;
+        m.pin("hot", vec![pinned]);
+        assert_eq!(m.replicas("hot"), vec![pinned]);
         m.unpin("hot");
-        assert_eq!(m.replicas("hot"), fallback);
+        assert_eq!(m.replicas("hot"), ring, "unpinning falls back to the ring");
     }
 
     #[test]
@@ -271,27 +232,10 @@ mod tests {
         m.pin("x", vec![0]);
         let e1 = m.epoch();
         assert!(e1 > e0);
-        m.add_node("d");
+        m.unpin("x");
         assert!(m.epoch() > e1);
-    }
-
-    #[test]
-    fn removed_node_never_returned() {
-        let mut m = three();
-        m.remove_node(1);
-        for i in 0..200 {
-            assert!(!m.replicas(&format!("k{i}")).contains(&1));
-        }
-        assert_eq!(m.live_nodes(), 2);
-    }
-
-    #[test]
-    fn node_ids_stable_across_removal() {
-        let mut m = three();
-        m.remove_node(0);
-        assert_eq!(m.node_name(2), "c");
-        let d = m.add_node("d");
-        assert_eq!(d, 3);
-        assert_eq!(m.node_name(d), "d");
+        let e2 = m.epoch();
+        m.unpin("x");
+        assert_eq!(m.epoch(), e2, "removing no pin changes nothing");
     }
 }

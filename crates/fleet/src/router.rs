@@ -243,7 +243,6 @@ impl FleetRouter {
             ));
         }
         let mut map = PlacementMap::new(nodes.iter().map(|n| n.name.clone()).collect())
-            .with_vnodes(config.vnodes)
             .with_replication(config.replication.clamp(1, nodes.len()));
         for (model, replicas) in &config.pins {
             map.pin(model.clone(), replicas.clone());
@@ -933,9 +932,9 @@ fn clear_stale(shared: &Shared, node: NodeId, model: &str) {
 /// `/v1/stats` and `/v1/models` documents, spliced in verbatim (an
 /// unreachable node reports `null` documents and its health instead).
 fn fleet_stats(shared: &Shared) -> Reply {
-    let (live, replication, epoch) = {
+    let (replication, epoch) = {
         let map = shared.map.lock().expect("placement lock");
-        (map.live_nodes(), map.replication(), map.epoch())
+        (map.replication(), map.epoch())
     };
     // Collect every node's documents BEFORE reading the router counters:
     // probing an unreachable node demotes it, and the counters written
@@ -951,7 +950,6 @@ fn fleet_stats(shared: &Shared) -> Reply {
     w.key("fleet");
     w.begin_object();
     w.field_uint("nodes", shared.nodes.len() as u64);
-    w.field_uint("placement_nodes", live as u64);
     w.field_uint("replication", replication as u64);
     w.field_uint("epoch", epoch);
     w.end_object();

@@ -6,25 +6,26 @@
 //! (Eq. 4), and ExaGeoStatR packages exactly this fit-once/predict-many
 //! workflow. `exa-geostat`'s [`FittedModel`] already caches the one Cholesky
 //! factor and the pre-solved `α = Σ⁻¹Z`, so a query costs no factorization —
-//! but a single synchronous call per query leaves throughput on the table.
-//! This crate adds the serving layer that turns cached sessions into a
-//! service.
+//! but a model alone is not a service. This crate adds the serving layer
+//! that turns cached sessions into one.
 //!
-//! # Architecture: registry → queue → batcher → workers
+//! # Architecture: registry → queue → workers
 //!
 //! ```text
 //!  clients                 ┌────────────────────────────────────────────┐
 //!  ServerHandle::submit ──▶│ queue (FIFO of pending requests + tickets) │
 //!        │                 └──────────────┬─────────────────────────────┘
-//!        │ resolves                       │ worker pops the head, then
-//!        ▼                                ▼ coalesces same-model peers
-//!  ┌──────────────┐          ┌─────────────────────────┐   ┌───────────┐
-//!  │ ModelRegistry│          │ micro-batcher           │──▶│ worker ×N │
-//!  │  name → Arc< │          │ one blocked cross-cov   │   │ predict_  │
-//!  │  FittedModel>│          │ build + one factor      │   │ batch on  │
-//!  │  LRU, byte   │          │ application per batch   │   │ its own   │
-//!  │  budget      │          └─────────────────────────┘   │ Runtime   │
-//!  └──────────────┘                                        └───────────┘
+//!        │ resolves                       │ a worker pops the head
+//!        ▼                                ▼
+//!  ┌──────────────┐                 ┌─────────────────────────────┐
+//!  │ ModelRegistry│                 │ worker ×N                   │
+//!  │  name → Arc< │                 │ one predict_batch call per  │
+//!  │  FittedModel>│                 │ request: one blocked cross- │
+//!  │  LRU, byte   │                 │ covariance build and one    │
+//!  │  budget      │                 │ factor application over its │
+//!  └──────────────┘                 │ targets                     │
+//!                                   └─────────────────────────────┘
+//!  ServerHandle::predict ── the same call on the calling thread, no queue
 //! ```
 //!
 //! * [`ModelRegistry`] — named [`Arc<FittedModel<K>>`](exa_geostat::FittedModel)
@@ -34,20 +35,22 @@
 //!   fit in memory.
 //! * [`PredictionServer`] — owns the worker threads. Clients submit
 //!   point-prediction requests through a cloneable [`ServerHandle`] and
-//!   either block on the returned [`PredictionTicket`] or fire-and-collect.
-//! * **Micro-batching** — a worker popping the queue head drains every
-//!   other in-flight request for the *same model* (and variance mode) into
-//!   one coalesced call of [`FittedModel::predict_batch`] /
-//!   [`FittedModel::predict_batch_with_variance`]: the whole batch shares
-//!   one blocked cross-covariance build and one factor application, turning
-//!   per-request BLAS-2 work into amortized BLAS-3.
-//! * **Observability** — per-request latency, queue depth high-water mark,
-//!   coalescing counters and a worker-side factorization counter
+//!   either block on the returned [`PredictionTicket`] or fire-and-collect;
+//!   blocking calls ([`ServerHandle::predict`]) skip the queue entirely.
+//! * **One request, one model call** — each request is answered by one
+//!   [`FittedModel::predict_batch`] /
+//!   [`FittedModel::predict_batch_with_variance`] call over its own
+//!   targets, so a request of many targets shares one blocked
+//!   cross-covariance build and one factor application (BLAS-3 rather than
+//!   per-target BLAS-2). Callers batch by putting many targets in one
+//!   request.
+//! * **Observability** — per-request latency, queue depth high-water mark
+//!   and a serve-side factorization counter
 //!   ([`ServerStats::factorizations_during_serving`] must stay 0: serving
 //!   never re-runs `potrf`).
 //! * **Graceful shutdown** — [`PredictionServer::shutdown`] stops intake,
-//!   drains every queued request, joins the workers and returns the final
-//!   stats.
+//!   drains every queued request, joins the workers, waits for blocking
+//!   predicts already running and returns the final stats.
 //!
 //! # Example
 //!
@@ -85,7 +88,7 @@
 //! let server = PredictionServer::start(registry, ServeConfig::default());
 //! let handle = server.handle();
 //!
-//! // Burst of queries: the workers coalesce whatever is in flight.
+//! // Burst of queries: the workers answer them in FIFO order.
 //! let tickets: Vec<_> = (0..16)
 //!     .map(|i| {
 //!         let t = Location::new(0.05 * i as f64, 0.9 - 0.05 * i as f64);

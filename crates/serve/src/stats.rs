@@ -18,9 +18,12 @@ exa_telemetry::stats_struct! {
         /// (Bad query, model failure.)
         Counter requests_failed: u64,
         /// Coalesced prediction calls executed by the workers.
+        /// Every request is its own model call, so this counts answered
+        /// requests, inline runs included.
         Counter batches_executed: u64,
         /// Requests that shared their batch with at least one other request.
-        /// The micro-batching hit count.
+        /// Always 0: requests are never merged. The key stays so readers of
+        /// `/v1/stats` and `/metrics` keep their schema.
         Counter requests_coalesced: u64,
         /// Total prediction points answered.
         Counter points_served: u64,
@@ -93,33 +96,5 @@ exa_telemetry::stats_struct! {
         Gauge ingest_condition_growth: f64,
         /// Per-point log-likelihood drift since the last refactorization (max over resident models).
         Gauge ingest_loglik_drift: f64,
-    }
-}
-
-impl ServerStats {
-    /// Mean coalesced-batch size in requests (0 before the first batch).
-    pub fn mean_batch_requests(&self) -> f64 {
-        if self.batches_executed == 0 {
-            0.0
-        } else {
-            (self.requests_served + self.requests_failed) as f64 / self.batches_executed as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mean_batch_requests_handles_empty_and_populated_counters() {
-        assert_eq!(ServerStats::default().mean_batch_requests(), 0.0);
-        let s = ServerStats {
-            requests_served: 9,
-            requests_failed: 1,
-            batches_executed: 5,
-            ..Default::default()
-        };
-        assert!((s.mean_batch_requests() - 2.0).abs() < 1e-12);
     }
 }

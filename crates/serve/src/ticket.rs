@@ -77,13 +77,13 @@ impl PredictionTicket {
 
     /// Registers a completion callback instead of blocking: `f` runs
     /// exactly once with the result — immediately on the calling thread if
-    /// the request is already answered, otherwise on whichever thread
-    /// fulfills it (a pool worker, or an inline `predict` caller). This is
+    /// the request is already answered, otherwise on the pool worker that
+    /// fulfills it. This is
     /// the event-loop consumption shape: a reactor thread can submit work
     /// and go back to its poller, with `f` posting the completion back to
     /// it (e.g. queue + wake byte). Keep `f` short and non-blocking — it
     /// runs on the fulfilling thread's time, delaying that worker's next
-    /// batch.
+    /// request.
     pub fn on_ready(self, f: impl FnOnce(SlotResult) + Send + 'static) {
         let mut guard = self.slot.result.lock().expect("slot lock");
         if let Some(value) = guard.take() {
@@ -110,8 +110,6 @@ mod check_models {
             values: vec![tag],
             variances: None,
             latency_seconds: 0.0,
-            coalesced_requests: 1,
-            batch_points: 1,
             queue_seconds: 0.0,
             solve_seconds: 0.0,
             trace: None,

@@ -69,9 +69,11 @@ pub struct WirePrediction {
     pub mean: Vec<f64>,
     /// Conditional variances when requested.
     pub variance: Option<Vec<f64>>,
-    /// Requests that shared the server-side coalesced batch (≥ 1).
+    /// Requests that shared the server-side model call; `exa-wire` servers
+    /// always send 1.
     pub coalesced_requests: u64,
-    /// Total prediction points in that batch.
+    /// Prediction points in that model call; `exa-wire` servers send the
+    /// length of `mean`.
     pub batch_points: u64,
     /// Server-side submit → response latency, seconds.
     pub latency_seconds: f64,

@@ -342,9 +342,10 @@ pub fn encode_predict_request(targets: &[Location], variance: bool) -> Vec<u8> {
 /// response body (see the [module docs](self) for the byte layout).
 #[derive(Debug)]
 pub struct PredictResponseFrame<'a> {
-    /// Requests that shared the server-side coalesced batch (≥ 1).
+    /// Requests that shared the server-side model call; `exa-wire` servers
+    /// always write 1.
     pub coalesced_requests: u32,
-    /// Total prediction points in that batch.
+    /// Prediction points in that model call; `exa-wire` servers write `n`.
     pub batch_points: u32,
     /// Server-side submit → response latency, seconds.
     pub latency_seconds: f64,

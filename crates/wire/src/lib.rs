@@ -18,10 +18,10 @@
 //!  reactor thread — epoll/poll readiness loop (one thread, any #conns)
 //!      │  accept ▸ non-blocking Connection state machines
 //!      │          ReadingHead → ReadingBody → Dispatch → Writing ⟲
-//!      │  parse → route → inline predict  (idle queue: zero handoffs)
-//!      │               └─ submit + on_ready (under load: coalesce)
+//!      │  parse → route → inline predict  (nothing in flight: zero handoffs)
+//!      │               └─ submit + on_ready (otherwise: worker pool)
 //!      ▼                       ▼
-//!  WireStats        PredictionServer (micro-batching workers)
+//!  WireStats        PredictionServer (one model call per request)
 //!                        │
 //!                   ModelRegistry (LRU, byte budget)
 //! ```
@@ -32,10 +32,9 @@
 //! (`catch_unwind`) and abuse is bounded exactly as before — header/body
 //! caps, slow-loris and idle deadlines, drain-then-close shutdown.
 //!
-//! One wire request maps onto **one** [`ServerHandle`] submission, so all
-//! of a request's targets share one coalesced `predict_batch` membership —
-//! and concurrent wire requests against the same model coalesce with each
-//! other exactly like in-process submitters do.
+//! One wire request maps onto **one** [`ServerHandle`] call, so all of a
+//! request's targets share one `predict_batch` call: a client with many
+//! queries batches them by sending them in one request.
 //!
 //! # Endpoints
 //!
@@ -88,12 +87,13 @@
 //! ```
 //!
 //! **Predict response** — `mean[i]` (and `variance[i]` when requested)
-//! answers `targets[i]`; the remaining fields surface the micro-batching
-//! this request took part in:
+//! answers `targets[i]`; `coalesced_requests` is always 1 and
+//! `batch_points` equals `points` (each request is its own model call; the
+//! fields stay for format compatibility):
 //!
 //! ```json
 //! {"model": "soil", "mean": [1.25, -0.5], "variance": [0.8, 0.9],
-//!  "points": 2, "coalesced_requests": 4, "batch_points": 12,
+//!  "points": 2, "coalesced_requests": 1, "batch_points": 2,
 //!  "latency_seconds": 0.0021}
 //! ```
 //!

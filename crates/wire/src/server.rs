@@ -13,16 +13,15 @@
 //!
 //! Predictions leave the reactor thread in one of two ways:
 //!
-//! * **Inline fast path** — when nothing else is in flight (`no reactor
-//!   dispatches pending, serve queue empty, only one connection readable
-//!   this poll batch`), the request runs as a batch-of-one directly on
-//!   the reactor thread via [`ServerHandle::predict`], skipping both
-//!   scheduler handoffs — this is what keeps single-client closed-loop
-//!   latency at the PR 5 level ([`WireStats::requests_inline`]).
+//! * **Inline fast path** — when nothing else is in flight (no reactor
+//!   dispatch pending, only one connection readable this poll batch), the
+//!   request runs directly on the reactor thread via
+//!   [`ServerHandle::predict`], skipping both scheduler handoffs — this is
+//!   what keeps single-client closed-loop latency low
+//!   ([`WireStats::requests_inline`]).
 //! * **Dispatch** — otherwise the request is submitted without blocking
-//!   ([`ServerHandle::submit`]) and the reactor returns to its poller;
-//!   the serve workers coalesce every concurrently dispatched request
-//!   exactly as PR 3 designed, and completion comes back through a queue
+//!   ([`ServerHandle::submit`]) and the reactor returns to its poller; a
+//!   serve worker answers it, and completion comes back through a queue
 //!   plus a waker byte ([`PredictionTicket::on_ready`],
 //!   [`WireStats::requests_dispatched`]).
 //!
@@ -428,10 +427,9 @@ struct Completion {
     result: Result<ServedPrediction, ServeError>,
 }
 
-/// What the reactor remembers about a dispatched predict request while the
-/// serve side works on it: everything needed to encode the response at
-/// completion time.
-struct PendingDispatch {
+/// What the reactor remembers about a routed predict request until it is
+/// answered: everything needed to encode, write and time the response.
+struct PendingPredict {
     model: String,
     resp_codec: Codec,
     keep_alive_wanted: bool,
@@ -449,7 +447,7 @@ struct PendingDispatch {
 struct ConnEntry {
     conn: Connection,
     /// Set while `conn` is in [`ConnState::Dispatch`].
-    pending: Option<PendingDispatch>,
+    pending: Option<PendingPredict>,
     /// A `503` courtesy connection at the cap, excluded from the serving
     /// count.
     refusal: bool,
@@ -475,7 +473,7 @@ struct Reactor<K: ParamCovariance> {
     refusals: usize,
     /// Whether exactly one connection went readable in the current poll
     /// batch — the precondition for the inline fast path (with more than
-    /// one, dispatching preserves cross-request coalescing).
+    /// one, dispatching lets the worker pool answer them in parallel).
     batch_solo: bool,
     shutting: bool,
 }
@@ -797,51 +795,30 @@ impl<K: ParamCovariance> Reactor<K> {
         // Every predict carries a trace id: the router's (forwarded in the
         // request header) or one minted here for direct clients.
         let trace = trace_in.unwrap_or_else(TraceId::mint);
+        let request = PendingPredict {
+            model: name,
+            resp_codec,
+            keep_alive_wanted,
+            trace,
+            request_started,
+            parse_ns,
+        };
         if self.inline_ok() {
             self.shared
                 .counters
                 .requests_inline
                 .fetch_add(1, Ordering::Relaxed);
             let handle = &self.shared.handle;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let served = handle.predict_traced(&name, targets, want_variance, Some(trace));
-                match served {
-                    Ok(served) => {
-                        let stages = stage_ns(&served);
-                        (predict_response(&name, resp_codec, &served), stages)
-                    }
-                    Err(err) => (serve_error_response(&err), (0, 0)),
-                }
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                handle.predict_traced(&request.model, targets, want_variance, Some(trace))
             }));
-            let (mut response, (queue_ns, solve_ns)) = outcome.unwrap_or_else(|_| {
-                self.shared
-                    .counters
-                    .panics_contained
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut response = Response::error(500, "internal", "request handler panicked");
-                response.close = true;
-                (response, (0, 0))
-            });
-            response.trace = Some(trace);
-            let write_start = Instant::now();
-            let flushed = self.answer(token, response, keep_alive_wanted, now);
-            observe_predict(
-                &self.shared,
-                trace,
-                &name,
-                parse_ns,
-                queue_ns,
-                solve_ns,
-                write_start.elapsed().as_nanos() as u64,
-                request_started.elapsed().as_nanos() as u64,
-            );
-            return flushed;
+            return self.finish_predict(token, request, result, now);
         }
         // Dispatch path: non-blocking submit, completion via callback.
-        let ticket = self
-            .shared
-            .handle
-            .submit_traced(&name, targets, want_variance, Some(trace));
+        let ticket =
+            self.shared
+                .handle
+                .submit_traced(&request.model, targets, want_variance, Some(trace));
         let ticket = match ticket {
             Ok(ticket) => ticket,
             Err(err) => {
@@ -851,14 +828,7 @@ impl<K: ParamCovariance> Reactor<K> {
             }
         };
         let entry = self.conns.get_mut(token).expect("handled conn is live");
-        entry.pending = Some(PendingDispatch {
-            model: name,
-            resp_codec,
-            keep_alive_wanted,
-            trace,
-            request_started,
-            parse_ns,
-        });
+        entry.pending = Some(request);
         entry.conn.begin_dispatch();
         self.inflight += 1;
         self.shared
@@ -881,12 +851,14 @@ impl<K: ParamCovariance> Reactor<K> {
     }
 
     /// Whether a predict may run inline on the reactor thread right now:
-    /// only with nothing else in motion — no dispatch in flight, nothing
-    /// in the serve queue, and no other connection readable in this poll
-    /// batch. Anything else must dispatch so concurrent requests coalesce
-    /// on the worker pool instead of serializing behind the reactor.
+    /// only with nothing else in motion — no dispatch in flight and no
+    /// other connection readable in this poll batch. The reactor is its
+    /// prediction server's only submitter, so no dispatch in flight also
+    /// means an empty serve queue. Anything else dispatches, so concurrent
+    /// requests spread over the worker pool instead of serializing behind
+    /// the reactor.
     fn inline_ok(&self) -> bool {
-        self.batch_solo && self.inflight == 0 && self.shared.handle.queue_depth() == 0
+        self.batch_solo && self.inflight == 0
     }
 
     /// Drains the completion queue: encode each answered dispatch and
@@ -909,61 +881,77 @@ impl<K: ParamCovariance> Reactor<K> {
                 .pending
                 .take()
                 .expect("completion for a connection not in dispatch");
-            let peer_gone = entry.peer_gone;
-            let outcome = catch_unwind(AssertUnwindSafe(|| match &result {
-                Ok(served) => predict_response(&pending.model, pending.resp_codec, served),
-                Err(err) => serve_error_response(err),
-            }));
-            let mut response = outcome.unwrap_or_else(|_| {
-                self.shared
-                    .counters
-                    .panics_contained
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut response = Response::error(500, "internal", "request handler panicked");
-                response.close = true;
-                response
-            });
-            response.trace = Some(pending.trace);
-            let (queue_ns, solve_ns) = match &result {
-                Ok(served) => stage_ns(served),
-                Err(_) => (0, 0),
-            };
-            if peer_gone {
-                // The request is still accounted (the work was done), but
-                // there is no one left to write to.
-                count_status(&self.shared, response.status);
-                observe_predict(
-                    &self.shared,
-                    pending.trace,
-                    &pending.model,
-                    pending.parse_ns,
-                    queue_ns,
-                    solve_ns,
-                    0,
-                    pending.request_started.elapsed().as_nanos() as u64,
-                );
-                self.remove_conn(token);
-                continue;
-            }
-            let write_start = Instant::now();
-            let flushed = self.answer(token, response, pending.keep_alive_wanted, now);
-            observe_predict(
-                &self.shared,
-                pending.trace,
-                &pending.model,
-                pending.parse_ns,
-                queue_ns,
-                solve_ns,
-                write_start.elapsed().as_nanos() as u64,
-                pending.request_started.elapsed().as_nanos() as u64,
-            );
-            if flushed {
+            if self.finish_predict(token, pending, Ok(result), now) {
                 // Flushed on a keep-alive connection: pipelined requests
                 // may already be buffered.
                 self.parse_loop(token, now);
             }
             self.arm(token);
         }
+    }
+
+    /// Finishes one predict, inline or dispatched: encodes the answer (a
+    /// panic in the predict or the encode answers `500`), writes it unless
+    /// the peer is gone, and records the stage spans and the slow-ring
+    /// entry. Returns `true` when the response flushed on a keep-alive
+    /// connection.
+    fn finish_predict(
+        &mut self,
+        token: u64,
+        request: PendingPredict,
+        result: std::thread::Result<Result<ServedPrediction, ServeError>>,
+        now: Instant,
+    ) -> bool {
+        let encoded = result.and_then(|result| {
+            catch_unwind(AssertUnwindSafe(|| match &result {
+                Ok(served) => (
+                    predict_response(&request.model, request.resp_codec, served),
+                    stage_ns(served),
+                ),
+                Err(err) => (serve_error_response(err), (0, 0)),
+            }))
+        });
+        let (mut response, (queue_ns, solve_ns)) = encoded.unwrap_or_else(|_| {
+            self.shared
+                .counters
+                .panics_contained
+                .fetch_add(1, Ordering::Relaxed);
+            let mut response = Response::error(500, "internal", "request handler panicked");
+            response.close = true;
+            (response, (0, 0))
+        });
+        response.trace = Some(request.trace);
+        let peer_gone = self
+            .conns
+            .get_mut(token)
+            .is_some_and(|entry| entry.peer_gone);
+        let (flushed, write_ns) = if peer_gone {
+            // The request is still accounted (the work was done), but
+            // there is no one left to write to.
+            count_status(&self.shared, response.status);
+            self.remove_conn(token);
+            (false, 0)
+        } else {
+            let write_start = Instant::now();
+            let flushed = self.answer(token, response, request.keep_alive_wanted, now);
+            (flushed, write_start.elapsed().as_nanos() as u64)
+        };
+        let shared = &self.shared;
+        let total_ns = request.request_started.elapsed().as_nanos() as u64;
+        shared.parse_hist.record_ns(request.parse_ns);
+        shared.write_hist.record_ns(write_ns);
+        shared.request_hist.record_ns(total_ns);
+        shared.slow.record(SlowEntry {
+            trace: request.trace,
+            model: request.model,
+            parse_ns: request.parse_ns,
+            queue_ns,
+            solve_ns,
+            write_ns,
+            total_ns,
+            seq: 0,
+        });
+        flushed
     }
 
     /// Counts, encodes, queues, and starts writing one response. Returns
@@ -1302,35 +1290,6 @@ fn stage_ns(served: &ServedPrediction) -> (u64, u64) {
     )
 }
 
-/// Records one finished predict into the wire stage histograms and the
-/// slow ring. `queue_ns`/`solve_ns` come from the serve layer's answer (0
-/// when the request failed before reaching a solve).
-#[allow(clippy::too_many_arguments)]
-fn observe_predict<K: ParamCovariance>(
-    shared: &Shared<K>,
-    trace: TraceId,
-    model: &str,
-    parse_ns: u64,
-    queue_ns: u64,
-    solve_ns: u64,
-    write_ns: u64,
-    total_ns: u64,
-) {
-    shared.parse_hist.record_ns(parse_ns);
-    shared.write_hist.record_ns(write_ns);
-    shared.request_hist.record_ns(total_ns);
-    shared.slow.record(SlowEntry {
-        trace,
-        model: model.to_string(),
-        parse_ns,
-        queue_ns,
-        solve_ns,
-        write_ns,
-        total_ns,
-        seq: 0,
-    });
-}
-
 /// The media type of a `Content-Type`/`Accept` value with any parameters
 /// stripped: `application/JSON; charset=utf-8` → `application/JSON`.
 fn media_essence(value: &str) -> &str {
@@ -1573,8 +1532,8 @@ fn predict_response(name: &str, resp_codec: Codec, served: &ServedPrediction) ->
         Codec::Binary => Response::ok_frame(codec::encode_predict_response(
             &served.values,
             served.variances.as_deref(),
-            served.coalesced_requests.min(u32::MAX as usize) as u32,
-            served.batch_points.min(u32::MAX as usize) as u32,
+            1,
+            served.values.len().min(u32::MAX as usize) as u32,
             served.latency_seconds,
         )),
         Codec::Json => {
@@ -1596,8 +1555,8 @@ fn predict_response(name: &str, resp_codec: Codec, served: &ServedPrediction) ->
                 w.end_array();
             }
             w.field_uint("points", served.values.len() as u64);
-            w.field_uint("coalesced_requests", served.coalesced_requests as u64);
-            w.field_uint("batch_points", served.batch_points as u64);
+            w.field_uint("coalesced_requests", 1);
+            w.field_uint("batch_points", served.values.len() as u64);
             w.field_num("latency_seconds", served.latency_seconds);
             w.end_object();
             Response::ok(w.finish())

@@ -1,5 +1,5 @@
 //! Prediction service: fit models once, then serve concurrent kriging
-//! queries through `exa-serve`'s micro-batching worker pool.
+//! queries through `exa-serve`'s worker pool.
 //!
 //! The flow mirrors a serving node's lifecycle:
 //!
@@ -90,8 +90,8 @@ fn main() {
                         0.011 * ((c * 37 + r * 13) % 89) as f64,
                         0.009 * ((c * 23 + r * 7) % 97) as f64,
                     );
-                    // Closed-loop every 8th request; burst the rest so the
-                    // batcher has something to coalesce.
+                    // Closed-loop every 8th request (answered on this
+                    // thread); burst the rest into the worker queue.
                     if r % 8 == 0 {
                         let served = handle.predict(name, vec![t]).expect("serve");
                         assert!(served.values[0].is_finite());
@@ -117,15 +117,7 @@ fn main() {
         wall * 1e3
     );
     println!("  throughput        {:>10.0} queries/s", total / wall);
-    println!("  batches executed  {:>10}", stats.batches_executed);
-    println!(
-        "  mean batch size   {:>10.1} requests",
-        stats.mean_batch_requests()
-    );
-    println!(
-        "  coalesced         {:>10} requests",
-        stats.requests_coalesced
-    );
+    println!("  model calls       {:>10}", stats.batches_executed);
     println!("  queue high-water  {:>10}", stats.max_queue_depth);
     println!(
         "  latency mean/max  {:>7.0} / {:.0} µs",

@@ -111,10 +111,9 @@ fn main() {
             .predict_with_variance("soil-tlr", &[Location::new(0.5, 0.5)])
             .expect("predict with variance");
         println!(
-            "kriging at (0.5, 0.5): mean {:+.4}, variance {:.4} (coalesced with {} request(s))",
+            "kriging at (0.5, 0.5): mean {:+.4}, variance {:.4}",
             served.mean[0],
             served.variance.as_ref().expect("variance requested")[0],
-            served.coalesced_requests,
         );
 
         // The same connection can switch to the binary frame codec
@@ -145,7 +144,7 @@ fn main() {
         );
         let serve = stats.get("serve").expect("serve section");
         println!(
-            "server-side: {} served, {} batches, mean latency {:.0} µs",
+            "server-side: {} served, {} model calls, mean latency {:.0} µs",
             serve
                 .get("requests_served")
                 .and_then(|v| v.as_u64())

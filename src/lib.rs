@@ -75,8 +75,8 @@
 //!
 //! Fitted models serve in-process through [`serve`] (`exa-serve`) and over
 //! TCP through [`wire`] (`exa-wire`): a zero-dependency HTTP/1.1 front-end
-//! whose `predict` endpoint coalesces each request onto the same
-//! micro-batching path and speaks JSON or a binary `f64` frame codec,
+//! whose `predict` endpoint answers each request with one batched model
+//! call and speaks JSON or a binary `f64` frame codec,
 //! negotiated per request (see the `exa-wire` crate docs for the wire
 //! schema and `exa-wire::codec` for the frame layout).
 //!
