@@ -9,7 +9,8 @@
 //!   problem description, generic over any
 //!   [`ParamCovariance`](exa_covariance::ParamCovariance) family) →
 //!   [`FittedModel`] (owns the factored `Σ(θ̂)`; likelihood, prediction,
-//!   conditional variances and simulation all reuse that factor).
+//!   conditional variances and exact simulation — `Z = L·w`, the
+//!   ExaGeoStat data generator — all reuse that factor).
 //! * [`factor`] — [`Factorization`]: the dense or tile (Full-tile or TLR)
 //!   Cholesky factor behind one `solve`/`logdet`/`bytes` interface, plus
 //!   incremental `append`/`remove` edits (rank-k Cholesky up/downdates on
@@ -20,8 +21,6 @@
 //!   background refactorization behind atomic snapshots.
 //! * [`locations`] — synthetic jittered-grid location generation (Figure 2)
 //!   and estimation/validation splits.
-//! * [`simulate`] — exact Gaussian-random-field simulation (`Z = L·w`), the
-//!   ExaGeoStat data generator.
 //! * [`likelihood`] — the Gaussian log-likelihood (Eq. 1) under three
 //!   interchangeable computation techniques ([`Backend::FullBlock`],
 //!   [`Backend::FullTile`], [`Backend::Tlr`]).
@@ -43,7 +42,6 @@ pub mod montecarlo;
 pub mod optimizer;
 pub mod predict;
 pub mod realdata;
-pub mod simulate;
 
 pub use factor::{factorization_count, FactorTimings, Factorization, IngestOutcome};
 pub use likelihood::{Backend, LikelihoodConfig, LogLikelihood};
@@ -62,4 +60,3 @@ pub use predict::{prediction_mse, Prediction};
 pub use realdata::{
     ascii_map, generate_region, soil_regions, wind_regions, RegionDataset, RegionSpec,
 };
-pub use simulate::{simulate_field, FieldSimulator};

@@ -134,15 +134,15 @@ mod tests {
         let locs: Arc<Vec<Location>> = Arc::new(synthetic_locations(side, &mut rng));
         let kernel = MaternKernel::new(locs.clone(), params, DistanceMetric::Euclidean, 1e-8);
         let rt = Runtime::new(4);
-        let z = crate::simulate::simulate_field(
-            &locs,
-            params,
-            DistanceMetric::Euclidean,
-            16,
-            &rt,
-            &mut rng,
-        )
-        .unwrap();
+        let z = crate::model::GeoModel::<MaternKernel>::builder()
+            .locations(locs)
+            .nugget(1e-10)
+            .tile_size(16)
+            .build()
+            .unwrap()
+            .at_params(&params.to_array(), &rt)
+            .unwrap()
+            .simulate(&mut rng, &rt);
         (kernel, z, rt)
     }
 

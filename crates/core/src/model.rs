@@ -1111,6 +1111,7 @@ mod tests {
     use super::*;
     use crate::locations::{holdout_split, synthetic_locations};
     use exa_covariance::{GaussianKernel, MaternKernel, PoweredExponentialKernel};
+    use exa_util::stats::{mean, sample_variance};
     use exa_util::Rng;
 
     fn matern_model(side: usize, seed: u64, backend: Backend) -> (GeoModel<MaternKernel>, Runtime) {
@@ -1244,6 +1245,71 @@ mod tests {
             assert_eq!(batch.len(), 3 * 144);
             assert_eq!(batch, sequential, "{backend:?}");
         }
+    }
+
+    /// An exact-generation session (zero nugget) at `theta` over `side²`
+    /// jittered-grid sites.
+    fn generator(side: usize, theta: [f64; 3], nb: usize, seed: u64) -> FittedModel<MaternKernel> {
+        let mut rng = Rng::seed_from_u64(seed);
+        GeoModel::<MaternKernel>::builder()
+            .locations(Arc::new(synthetic_locations(side, &mut rng)))
+            .nugget(0.0)
+            .tile_size(nb)
+            .build()
+            .unwrap()
+            .at_params(&theta, &Runtime::new(4))
+            .unwrap()
+    }
+
+    #[test]
+    fn marginal_variance_matches_theta1() {
+        // Across many draws, each site's variance is θ₁; pooled over sites
+        // and draws the sample variance must land near it.
+        let rt = Runtime::new(4);
+        let sim = generator(10, [2.0, 0.1, 0.5], 25, 1);
+        let mut rng = Rng::seed_from_u64(2);
+        let mut pooled = Vec::new();
+        for _ in 0..30 {
+            pooled.extend(sim.simulate(&mut rng, &rt));
+        }
+        let v = sample_variance(&pooled);
+        assert!((v - 2.0).abs() < 0.3, "pooled variance {v}");
+        assert!(mean(&pooled).abs() < 0.1, "mean {}", mean(&pooled));
+    }
+
+    #[test]
+    fn correlation_strength_tracks_range_parameter() {
+        // Strong correlation (θ₂ = 0.3) vs weak (θ₂ = 0.03): index-adjacent
+        // (Morton-neighbouring) sites must co-move far more under the former.
+        let rt = Runtime::new(4);
+        let neighbour_corr = |range: f64, seed: u64| {
+            let sim = generator(8, [1.0, range, 0.5], 16, seed);
+            let mut rng = Rng::seed_from_u64(seed + 100);
+            let mut acc = 0.0;
+            let reps = 60;
+            for _ in 0..reps {
+                let z = sim.simulate(&mut rng, &rt);
+                let a: Vec<f64> = z[..z.len() - 1].to_vec();
+                let b: Vec<f64> = z[1..].to_vec();
+                let ma = mean(&a);
+                let mb = mean(&b);
+                let cov: f64 = a
+                    .iter()
+                    .zip(&b)
+                    .map(|(x, y)| (x - ma) * (y - mb))
+                    .sum::<f64>()
+                    / (a.len() - 1) as f64;
+                acc += cov / (sample_variance(&a).sqrt() * sample_variance(&b).sqrt());
+            }
+            acc / reps as f64
+        };
+        let strong = neighbour_corr(0.3, 3);
+        let weak = neighbour_corr(0.03, 3);
+        assert!(strong > 0.25, "strong-range neighbour correlation {strong}");
+        assert!(
+            strong > weak + 0.15,
+            "strong {strong} must clearly exceed weak {weak}"
+        );
     }
 
     #[test]

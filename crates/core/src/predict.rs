@@ -38,8 +38,7 @@ mod tests {
     use crate::likelihood::{Backend, LikelihoodConfig};
     use crate::locations::{holdout_split, synthetic_locations};
     use crate::model::GeoModel;
-    use crate::simulate::FieldSimulator;
-    use exa_covariance::{DistanceMetric, Location, MaternKernel, MaternParams};
+    use exa_covariance::{Location, MaternKernel, MaternParams};
     use exa_runtime::Runtime;
     use exa_util::Rng;
     use std::sync::Arc;
@@ -56,16 +55,15 @@ mod tests {
         let mut rng = Rng::seed_from_u64(seed);
         let locs = Arc::new(synthetic_locations(side, &mut rng));
         let rt = Runtime::new(4);
-        let sim = FieldSimulator::new(
-            locs.clone(),
-            params,
-            DistanceMetric::Euclidean,
-            0.0,
-            32,
-            &rt,
-        )
-        .unwrap();
-        let z = sim.draw(&mut rng);
+        let z = GeoModel::<MaternKernel>::builder()
+            .locations(locs.clone())
+            .nugget(0.0)
+            .tile_size(32)
+            .build()
+            .unwrap()
+            .at_params(&params.to_array(), &rt)
+            .unwrap()
+            .simulate(&mut rng, &rt);
         let split = holdout_split(locs.len(), m, &mut rng);
         let observed: Vec<Location> = split.estimation.iter().map(|&i| locs[i]).collect();
         let z_obs: Vec<f64> = split.estimation.iter().map(|&i| z[i]).collect();

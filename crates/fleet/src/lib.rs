@@ -7,7 +7,8 @@
 //! `exa-wire` nodes into one logical tier:
 //!
 //! ```text
-//!  clients ──▶ FleetRouter (one socket)
+//!  clients ──▶ FleetRouter: exa-wire's reactor (one socket, any #conns)
+//!                 │  relay pool (one thread per relay in flight)
 //!                 │  PlacementMap: model → replica set
 //!                 │  (consistent-hash ring · pins · replication)
 //!                 ├──▶ node a  ┐ WireClient keep-alive pools,
@@ -23,10 +24,14 @@
 //!   moves only when the fleet's pins or replication do — never with
 //!   traffic. A suspect node stays on the ring; the router tries it last
 //!   until its cooldown ends.
-//! * **Routing** ([`FleetRouter`]) — terminates client connections with
-//!   `exa-wire`'s own HTTP machinery and relays predict bodies verbatim
-//!   (JSON and `x-exa-frame` alike — bit-identity with a direct node hit
-//!   is a test). A miss (`404 unknown_model`) sends the router through
+//! * **Routing** ([`FleetRouter`]) — a [`Service`](exa_wire::Service) on
+//!   `exa-wire`'s [`HttpServer`](exa_wire::HttpServer), the reactor every
+//!   node runs: one transport with the node's connection cap, deadlines,
+//!   panic containment and half-close drain. Health and metrics answer on
+//!   the reactor; backend round trips run on a relay pool that spawns a
+//!   thread only when none is idle, so an idle keep-alive costs no
+//!   thread. Predict bodies are relayed verbatim (JSON and `x-exa-frame`
+//!   alike — bit-identity with a direct node hit is a test). A miss (`404 unknown_model`) sends the router through
 //!   the rest of the replica set before the 404 stands; backends with a
 //!   registry loader pull the model themselves on first touch. Transport
 //!   failures demote a node to suspect and fail the request over.
@@ -64,6 +69,7 @@
 
 pub mod placement;
 pub mod pool;
+mod relay;
 pub mod router;
 
 pub use placement::{NodeId, PlacementMap, DEFAULT_VNODES};
@@ -72,7 +78,17 @@ pub use router::{FleetRouter, RouterStats};
 
 use exa_wire::http::Limits;
 use std::net::SocketAddr;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Locks `m`, recovering the data if a holder panicked. Every critical
+/// section in this crate is a single map, set or queue operation, so the
+/// data is valid either way; requests are answered under `catch_unwind`,
+/// and a poisoned lock would otherwise turn every later request into a
+/// `500`.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One backend node: a stable name (hashed onto the ring — renaming a
 /// node moves its share of models) and the address its `exa-wire` server

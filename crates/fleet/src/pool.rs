@@ -8,6 +8,7 @@
 //! skipped while its cooldown runs; once the cooldown lapses the next
 //! request probes it again (half-open), and a success promotes it back.
 
+use crate::lock;
 use exa_wire::{WireClient, WireError};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +72,7 @@ impl NodePool {
     /// Current health; a lapsed cooldown reads as [`NodeHealth::Up`] so
     /// the next interested request probes the node (half-open).
     pub fn health(&self) -> NodeHealth {
-        let until = self.suspect_until.lock().expect("health lock");
+        let until = lock(&self.suspect_until);
         match *until {
             Some(t) if Instant::now() < t => NodeHealth::Suspect,
             _ => NodeHealth::Up,
@@ -82,14 +83,14 @@ impl NodePool {
     /// Pooled connections are dropped — they shared the fate of whatever
     /// killed the one that failed.
     pub fn demote(&self, cooldown: Duration) {
-        *self.suspect_until.lock().expect("health lock") = Some(Instant::now() + cooldown);
-        self.idle.lock().expect("pool lock").clear();
+        *lock(&self.suspect_until) = Some(Instant::now() + cooldown);
+        lock(&self.idle).clear();
         self.demotions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Clears suspicion after a successful exchange.
     pub fn promote(&self) {
-        *self.suspect_until.lock().expect("health lock") = None;
+        *lock(&self.suspect_until) = None;
     }
 
     /// Lifetime demotion count (a node flapping shows up here).
@@ -101,7 +102,7 @@ impl NodePool {
     /// empty. The caller must [`NodePool::checkin`] it afterwards (or drop
     /// it on failure so a poisoned connection never returns to the pool).
     pub fn checkout(&self) -> Result<WireClient, WireError> {
-        if let Some(client) = self.idle.lock().expect("pool lock").pop() {
+        if let Some(client) = lock(&self.idle).pop() {
             return Ok(client);
         }
         WireClient::connect_timeout(self.addr, self.connect_timeout)
@@ -109,7 +110,7 @@ impl NodePool {
 
     /// Returns a healthy client to the pool (bounded; extras dropped).
     pub fn checkin(&self, client: WireClient) {
-        let mut idle = self.idle.lock().expect("pool lock");
+        let mut idle = lock(&self.idle);
         if idle.len() < MAX_IDLE {
             idle.push(client);
         }

@@ -1,12 +1,16 @@
 //! The fleet router: one socket fronting N `exa-wire` nodes.
 //!
-//! A thread-per-connection blocking front-end — deliberately simpler than
-//! the backend's readiness reactor, because a router terminates a bounded
-//! number of client connections and spends its life waiting on upstream
-//! sockets anyway. It reuses `exa-wire`'s HTTP machinery wholesale: the
-//! incremental [`RequestParser`] on the way in, [`WireClient`] keep-alive
-//! pools ([`NodePool`]) on the way out, and the wire JSON envelope for
-//! every error it originates itself.
+//! The router is a [`Service`] on `exa-wire`'s own [`HttpServer`] — the
+//! same readiness reactor every node runs, so the router gets the node's
+//! connection cap, deadlines, per-request panic containment and
+//! half-close drain without a second copy of any of them. `/healthz` and
+//! `/metrics` answer on the reactor thread. Every route that touches a
+//! backend socket — predict relays, observe fan-outs and
+//! `/v1/fleet/stats` — runs its blocking [`WireClient`] round trips on a
+//! relay pool and completes through the reactor's completion queue. The
+//! backend connections are [`WireClient`] keep-alive pools
+//! ([`NodePool`]), and every error the router originates itself is the
+//! wire JSON envelope ([`Response::error`]).
 //!
 //! Predict bodies cross the router **verbatim** in both directions — the
 //! router never decodes either codec, so what a backend computes is
@@ -25,26 +29,27 @@
 //!
 //! [`WireClient`]: exa_wire::WireClient
 
+use crate::lock;
 use crate::placement::{NodeId, PlacementMap};
 use crate::pool::{NodeHealth, NodePool};
+use crate::relay::Relays;
 use crate::{FleetConfig, NodeSpec};
 use exa_telemetry::{Histogram, PromText, TraceId, TRACE_HEADER};
-use exa_wire::http::{self, Limits, ParseProgress, Request, RequestParser};
+use exa_wire::http::Request;
 use exa_wire::json::{Json, JsonWriter};
-use exa_wire::WireResponse;
+use exa_wire::{
+    Handled, HttpCounters, HttpServer, Responder, Response, Service, WireResponse,
+    DEFAULT_MAX_CONNECTIONS,
+};
 use std::collections::HashSet;
-use std::io::{self, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::{self, ErrorKind};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Seconds clients are told to back off when every replica is down.
 const RETRY_AFTER_NO_REPLICAS: u64 = 1;
-
-/// How often a blocked handler wakes to check for shutdown.
-const READ_TICK: Duration = Duration::from_millis(250);
 
 exa_telemetry::stats_struct! {
     /// A point-in-time snapshot of the router's counters — the `router`
@@ -53,11 +58,13 @@ exa_telemetry::stats_struct! {
     #[derive(Clone, Copy, Debug, Default, PartialEq)]
     pub struct RouterStats {
         /// Client connections accepted by the router.
+        /// (Admitted under the connection cap.)
         Counter connections_accepted: u64,
         /// Requests answered 2xx by the router.
         /// (Predict relays and local endpoints alike.)
         Counter requests_ok: u64,
         /// Requests answered non-2xx by the router.
+        /// (4xx and 5xx alike, malformed requests included.)
         Counter requests_error: u64,
         /// Predicts relayed to a backend (one per answered predict).
         /// However many attempts it took.
@@ -104,9 +111,6 @@ exa_telemetry::stats_struct! {
 
 #[derive(Default)]
 struct Counters {
-    connections_accepted: AtomicU64,
-    requests_ok: AtomicU64,
-    requests_error: AtomicU64,
     forwards: AtomicU64,
     failovers: AtomicU64,
     misses_retried: AtomicU64,
@@ -121,9 +125,9 @@ struct Counters {
 struct Shared {
     nodes: Vec<NodePool>,
     map: Mutex<PlacementMap>,
+    /// Transport counters, kept by the reactor.
+    http: HttpCounters,
     counters: Counters,
-    shutting_down: AtomicBool,
-    limits: Limits,
     suspect_cooldown: Duration,
     /// Spreads consecutive predicts across a model's replica set.
     rotate: AtomicUsize,
@@ -146,11 +150,12 @@ struct Shared {
 impl Shared {
     fn stats(&self) -> RouterStats {
         let c = &self.counters;
+        let http = self.http.snapshot();
         let request_latency = self.request_hist.snapshot();
         RouterStats {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            requests_ok: c.requests_ok.load(Ordering::Relaxed),
-            requests_error: c.requests_error.load(Ordering::Relaxed),
+            connections_accepted: http.connections_accepted,
+            requests_ok: http.requests_ok,
+            requests_error: http.requests_client_error + http.requests_server_error,
             forwards: c.forwards.load(Ordering::Relaxed),
             failovers: c.failovers.load(Ordering::Relaxed),
             misses_retried: c.misses_retried.load(Ordering::Relaxed),
@@ -180,61 +185,16 @@ impl Shared {
     }
 }
 
-/// One response about to be written to a client.
-struct Reply {
-    status: u16,
-    content_type: String,
-    body: Vec<u8>,
-    retry_after: Option<u64>,
-    /// `x-exa-trace-id` value echoed to the client: the backend's echo on
-    /// a relay, or the router-minted id when no backend answered.
-    trace: Option<String>,
-}
-
-impl Reply {
-    fn ok_json(body: String) -> Reply {
-        Reply {
-            status: 200,
-            content_type: "application/json".to_string(),
-            body: body.into_bytes(),
-            retry_after: None,
-            trace: None,
-        }
-    }
-
-    fn error(status: u16, code: &str, message: &str) -> Reply {
-        Reply {
-            status,
-            content_type: "application/json".to_string(),
-            body: error_body(code, message).into_bytes(),
-            retry_after: None,
-            trace: None,
-        }
-    }
-
-    fn relay(response: WireResponse) -> Reply {
-        Reply {
-            status: response.status,
-            content_type: response.content_type,
-            body: response.body,
-            retry_after: response.retry_after,
-            trace: response.trace,
-        }
-    }
-}
-
-/// A running fleet router; dropping it without [`FleetRouter::shutdown`]
-/// leaks the accept thread, so tests and binaries should shut down.
+/// A running fleet router; dropping it shuts it down like
+/// [`FleetRouter::shutdown`].
 pub struct FleetRouter {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    http: HttpServer<Front>,
 }
 
 impl FleetRouter {
     /// Builds the placement map over `nodes` (ids follow input order),
     /// applies the configured pins, binds the router socket and starts
-    /// accepting.
+    /// serving.
     pub fn start(nodes: Vec<NodeSpec>, config: FleetConfig) -> io::Result<FleetRouter> {
         if nodes.is_empty() {
             return Err(io::Error::new(
@@ -252,14 +212,11 @@ impl FleetRouter {
             .iter()
             .map(|spec| NodePool::new(&spec.name, spec.addr, config.connect_timeout))
             .collect();
-        let listener = TcpListener::bind(&config.bind_addr)?;
-        let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             nodes: pools,
             map: Mutex::new(map),
+            http: HttpCounters::default(),
             counters: Counters::default(),
-            shutting_down: AtomicBool::new(false),
-            limits: config.limits,
             suspect_cooldown: config.suspect_cooldown,
             rotate: AtomicUsize::new(0),
             last_epoch: AtomicU64::new(last_epoch),
@@ -269,219 +226,135 @@ impl FleetRouter {
             relay_hist: Histogram::new(),
             stale: Mutex::new(HashSet::new()),
         });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("fleet-accept".to_string())
-                .spawn(move || accept_loop(listener, shared))?
-        };
-        Ok(FleetRouter {
-            local_addr,
+        let front = Front {
             shared,
-            accept: Some(accept),
-        })
+            relays: Arc::default(),
+        };
+        let http = HttpServer::start(
+            &config.bind_addr,
+            config.limits,
+            DEFAULT_MAX_CONNECTIONS,
+            Arc::new(front),
+        )?;
+        Ok(FleetRouter { http })
+    }
+
+    fn shared(&self) -> &Shared {
+        &self.http.service().shared
     }
 
     /// The router's bound address (ephemeral-port friendly).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.http.local_addr()
     }
 
     /// Router counter snapshot.
     pub fn stats(&self) -> RouterStats {
-        self.shared.stats()
+        self.shared().stats()
     }
 
     /// Health of node `id` as the router currently sees it.
     pub fn node_health(&self, id: NodeId) -> NodeHealth {
-        self.shared.nodes[id].health()
+        self.shared().nodes[id].health()
     }
 
     /// Pins `model` to an explicit replica list, overriding the ring;
     /// bumps the placement epoch (visible as a rebalance).
     pub fn pin(&self, model: &str, replicas: Vec<NodeId>) {
-        let mut map = self.shared.map.lock().expect("placement lock");
-        map.pin(model.to_string(), replicas);
+        lock(&self.shared().map).pin(model.to_string(), replicas);
     }
 
     /// Removes a pin, returning `model` to ring placement.
     pub fn unpin(&self, model: &str) {
-        let mut map = self.shared.map.lock().expect("placement lock");
-        map.unpin(model);
+        lock(&self.shared().map).unpin(model);
     }
 
-    /// Stops accepting, lets in-flight requests finish, joins every
-    /// connection handler, and returns the final counters.
+    /// Stops accepting, lets in-flight requests finish, joins the reactor
+    /// and every relay thread, and returns the final counters.
     pub fn shutdown(mut self) -> RouterStats {
         self.wind_down();
         self.stats()
     }
 
     fn wind_down(&mut self) {
-        // ORDERING: SeqCst — the flag store must be globally ordered before
-        // the wake-up dial below, so the accept loop can never observe the
-        // dial yet still read the flag as false and keep accepting.
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway dial.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.http.shutdown();
+        // The reactor has answered every deferred request, so the relay
+        // threads only have their own exits left.
+        self.http.service().relays.join();
     }
 }
 
 impl Drop for FleetRouter {
     fn drop(&mut self) {
-        if self.accept.is_some() {
-            self.wind_down();
-        }
+        self.wind_down();
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // ORDERING: SeqCst pairs with wind_down's store: once the
-                // wake-up dial is accepted, this load must see the flag.
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                shared
-                    .counters
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(&shared);
-                // On spawn failure the connection drops; the client retries.
-                if let Ok(handle) = thread::Builder::new()
-                    .name("fleet-conn".to_string())
-                    .spawn(move || handle_connection(stream, shared))
-                {
-                    handlers.push(handle);
-                }
-                // Reap finished handlers so the vec stays bounded by the
-                // number of *live* connections.
-                handlers.retain(|h| !h.is_finished());
-            }
-            Err(_) => {
-                // ORDERING: SeqCst — same pairing as the Ok arm above.
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
+/// The router's [`Service`]: what the reactor calls for each request.
+struct Front {
+    shared: Arc<Shared>,
+    relays: Arc<Relays>,
+}
+
+/// The routes that touch a backend socket, run on the relay pool.
+enum Upstream {
+    Predict(String),
+    Observe(String),
+    Stats,
+}
+
+impl Service for Front {
+    fn counters(&self) -> &HttpCounters {
+        &self.shared.http
     }
-    for handle in handlers {
-        let _ = handle.join();
+
+    fn call(&self, request: Request, _quiet: bool) -> Handled {
+        let path = request.path();
+        let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
+        let upstream = match (request.method(), segments.as_slice()) {
+            ("GET", ["healthz"]) => return Handled::Now(health(&self.shared)),
+            ("GET", ["metrics"]) => return Handled::Now(metrics(&self.shared)),
+            ("GET", ["v1", "fleet", "stats"]) => Upstream::Stats,
+            ("POST", ["v1", "models", name, "predict"]) => Upstream::Predict(name.to_string()),
+            ("POST", ["v1", "models", name, "observe"]) => Upstream::Observe(name.to_string()),
+            (
+                _,
+                ["healthz"]
+                | ["v1", "fleet", "stats"]
+                | ["metrics"]
+                | ["v1", "models", _, "predict"]
+                | ["v1", "models", _, "observe"],
+            ) => {
+                return Handled::Now(Response::error(
+                    405,
+                    "method_not_allowed",
+                    &format!("{} is not supported on {path}", request.method()),
+                ))
+            }
+            _ => {
+                return Handled::Now(Response::error(
+                    404,
+                    "unknown_path",
+                    &format!("no route for {path}"),
+                ))
+            }
+        };
+        let shared = Arc::clone(&self.shared);
+        let relays = Arc::clone(&self.relays);
+        Handled::Later(Box::new(move |responder: Responder| {
+            relays.execute(
+                responder,
+                Box::new(move || match upstream {
+                    Upstream::Predict(model) => proxy_predict(&shared, &request, &model),
+                    Upstream::Observe(model) => proxy_observe(&shared, &request, &model),
+                    Upstream::Stats => fleet_stats(&shared),
+                }),
+            )
+        }))
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    // Short read timeout: the handler wakes every tick to notice shutdown
-    // and to enforce the idle/slow-request deadlines itself.
-    let _ = stream.set_read_timeout(Some(READ_TICK));
-    let mut parser = RequestParser::new(shared.limits);
-    let mut last_activity = Instant::now();
-    loop {
-        match parser.next_request() {
-            Ok(ParseProgress::Request(request)) => {
-                last_activity = Instant::now();
-                // ORDERING: SeqCst keeps the shutdown flag in one total order
-                // with wind_down's store, so no handler renews keep-alive
-                // after shutdown began.
-                let keep_alive =
-                    request.keep_alive() && !shared.shutting_down.load(Ordering::SeqCst);
-                let reply = route(&shared, &request);
-                let counter = if (200..300).contains(&reply.status) {
-                    &shared.counters.requests_ok
-                } else {
-                    &shared.counters.requests_error
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                let trace_header;
-                let extra: &[(&str, String)] = match &reply.trace {
-                    Some(trace) => {
-                        trace_header = [(TRACE_HEADER, trace.clone())];
-                        &trace_header
-                    }
-                    None => &[],
-                };
-                let bytes = http::encode_response_ext(
-                    reply.status,
-                    &reply.content_type,
-                    &reply.body,
-                    keep_alive,
-                    reply.retry_after,
-                    extra,
-                );
-                if stream.write_all(&bytes).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Ok(_) => match parser.read_from(&mut stream) {
-                Ok(0) => return,
-                Ok(_) => last_activity = Instant::now(),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if http::would_block(&e) => {
-                    // ORDERING: SeqCst — same total order as wind_down's
-                    // store; an idle handler must exit promptly once set.
-                    if shared.shutting_down.load(Ordering::SeqCst) && parser.buffered() == 0 {
-                        return;
-                    }
-                    let budget = if parser.buffered() == 0 {
-                        shared.limits.idle_timeout
-                    } else {
-                        shared.limits.request_deadline
-                    };
-                    if last_activity.elapsed() > budget {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            },
-            Err(err) => {
-                let _ = stream.write_all(&http::encode_response(
-                    err.status(),
-                    "application/json",
-                    // The backend labels every HTTP-level violation
-                    // `bad_request`; the router speaks the same envelope.
-                    error_body("bad_request", &err.to_string()).as_bytes(),
-                    false,
-                ));
-                return;
-            }
-        }
-    }
-}
-
-fn route(shared: &Shared, request: &Request) -> Reply {
-    let path = request.path();
-    let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
-    match (request.method(), segments.as_slice()) {
-        ("GET", ["healthz"]) => health(shared),
-        ("GET", ["v1", "fleet", "stats"]) => fleet_stats(shared),
-        ("GET", ["metrics"]) => metrics(shared),
-        ("POST", ["v1", "models", name, "predict"]) => proxy_predict(shared, request, name),
-        ("POST", ["v1", "models", name, "observe"]) => proxy_observe(shared, request, name),
-        (
-            _,
-            ["healthz"]
-            | ["v1", "fleet", "stats"]
-            | ["metrics"]
-            | ["v1", "models", _, "predict"]
-            | ["v1", "models", _, "observe"],
-        ) => Reply::error(
-            405,
-            "method_not_allowed",
-            &format!("{} is not supported on {path}", request.method()),
-        ),
-        _ => Reply::error(404, "unknown_path", &format!("no route for {path}")),
-    }
-}
-
-fn health(shared: &Shared) -> Reply {
+fn health(shared: &Shared) -> Response {
     let live = shared
         .nodes
         .iter()
@@ -493,14 +366,14 @@ fn health(shared: &Shared) -> Reply {
     w.field_uint("nodes", shared.nodes.len() as u64);
     w.field_uint("nodes_up", live as u64);
     w.end_object();
-    Reply::ok_json(w.finish())
+    Response::ok(w.finish())
 }
 
 /// `model`'s replica set under the current placement map; the first
 /// handler to see a new map epoch counts it as a rebalance.
 fn replicas_of(shared: &Shared, model: &str) -> Vec<NodeId> {
     let (replicas, epoch) = {
-        let map = shared.map.lock().expect("placement lock");
+        let map = lock(&shared.map);
         (map.replicas(model), map.epoch())
     };
     // ORDERING: SeqCst — epoch swaps from concurrent handlers must form one
@@ -515,7 +388,7 @@ fn replicas_of(shared: &Shared, model: &str) -> Vec<NodeId> {
 /// The predict relay entry point: mints (or adopts) the request's trace
 /// id, stamps it on the upstream relay, echoes it to the client, and
 /// feeds the router-side latency histogram.
-fn proxy_predict(shared: &Shared, request: &Request, model: &str) -> Reply {
+fn proxy_predict(shared: &Shared, request: &Request, model: &str) -> Response {
     let started = Instant::now();
     // The router is the trace's origin for fleet traffic: adopt a caller's
     // id when one arrives (nested routers), mint otherwise. The id rides
@@ -526,12 +399,12 @@ fn proxy_predict(shared: &Shared, request: &Request, model: &str) -> Reply {
         .and_then(TraceId::parse)
         .unwrap_or_else(TraceId::mint);
     let trace_hex = trace.to_string();
-    let mut reply = relay_predict(shared, request, model, &trace_hex);
-    if reply.trace.is_none() {
-        reply.trace = Some(trace_hex);
+    let mut response = relay_predict(shared, request, model, &trace_hex);
+    if response.trace.is_none() {
+        response.trace = Some(trace_hex);
     }
     shared.request_hist.record(started.elapsed());
-    reply
+    response
 }
 
 /// The predict relay: resolve the replica set, try candidates in rotated
@@ -541,10 +414,10 @@ fn proxy_predict(shared: &Shared, request: &Request, model: &str) -> Reply {
 /// * `404 unknown_model` → the node could not pull the model either; try
 ///   the rest of the replica set before letting the 404 through.
 /// * Everything else (including backend 4xx/5xx) is the answer.
-fn relay_predict(shared: &Shared, request: &Request, model: &str, trace_hex: &str) -> Reply {
+fn relay_predict(shared: &Shared, request: &Request, model: &str, trace_hex: &str) -> Response {
     let replicas = replicas_of(shared, model);
     if replicas.is_empty() {
-        return Reply::error(503, "no_replicas_available", "the fleet has no live nodes");
+        return Response::error(503, "no_replicas_available", "the fleet has no live nodes");
     }
     // Rotate the starting replica so a replicated model's traffic
     // spreads instead of hammering its primary, then sort suspects last.
@@ -561,7 +434,7 @@ fn relay_predict(shared: &Shared, request: &Request, model: &str, trace_hex: &st
     let content_type = request.header("content-type").unwrap_or("application/json");
     let accept = request.header("accept").unwrap_or("*/*");
     let target = request.path();
-    let mut last_miss: Option<Reply> = None;
+    let mut last_miss: Option<Response> = None;
     let candidates = order.len();
     for (attempt, id) in order.into_iter().enumerate() {
         let pool = &shared.nodes[id];
@@ -630,11 +503,11 @@ fn relay_predict(shared: &Shared, request: &Request, model: &str, trace_hex: &st
                             .misses_retried
                             .fetch_add(1, Ordering::Relaxed);
                     }
-                    last_miss = Some(Reply::relay(response));
+                    last_miss = Some(Response::from(response));
                     continue;
                 }
                 shared.counters.forwards.fetch_add(1, Ordering::Relaxed);
-                return Reply::relay(response);
+                return Response::from(response);
             }
             Err(_) => {
                 // The connection is poisoned; drop it rather than pool it.
@@ -647,34 +520,34 @@ fn relay_predict(shared: &Shared, request: &Request, model: &str, trace_hex: &st
     }
     match last_miss {
         // Every live replica answered `unknown_model`: the 404 is real.
-        Some(reply) => reply,
+        Some(response) => response,
         None => {
-            let mut reply = Reply::error(
+            let mut response = Response::error(
                 503,
                 "no_replicas_available",
                 &format!("every replica of {model:?} is unreachable"),
             );
-            reply.retry_after = Some(RETRY_AFTER_NO_REPLICAS);
-            reply
+            response.retry_after = Some(RETRY_AFTER_NO_REPLICAS);
+            response
         }
     }
 }
 
 /// The observe fan-out entry point: same trace handling and client-facing
 /// histogram as predicts.
-fn proxy_observe(shared: &Shared, request: &Request, model: &str) -> Reply {
+fn proxy_observe(shared: &Shared, request: &Request, model: &str) -> Response {
     let started = Instant::now();
     let trace = request
         .header(TRACE_HEADER)
         .and_then(TraceId::parse)
         .unwrap_or_else(TraceId::mint);
     let trace_hex = trace.to_string();
-    let mut reply = fan_observe(shared, request, model, &trace_hex);
-    if reply.trace.is_none() {
-        reply.trace = Some(trace_hex);
+    let mut response = fan_observe(shared, request, model, &trace_hex);
+    if response.trace.is_none() {
+        response.trace = Some(trace_hex);
     }
     shared.request_hist.record(started.elapsed());
-    reply
+    response
 }
 
 /// Per-replica outcome of one observe fan-out.
@@ -705,10 +578,10 @@ struct ObserveOutcome {
 /// demoted to suspect and stale-marked; a 4xx next to a success is
 /// stale-marked too (the replicas no longer agree). `404 unknown_model`
 /// replicas hold nothing that can go stale and stay healthy.
-fn fan_observe(shared: &Shared, request: &Request, model: &str, trace_hex: &str) -> Reply {
+fn fan_observe(shared: &Shared, request: &Request, model: &str, trace_hex: &str) -> Response {
     let replicas = replicas_of(shared, model);
     if replicas.is_empty() {
-        return Reply::error(503, "no_replicas_available", "the fleet has no live nodes");
+        return Response::error(503, "no_replicas_available", "the fleet has no live nodes");
     }
     let content_type = request.header("content-type").unwrap_or("application/json");
     let accept = request.header("accept").unwrap_or("*/*");
@@ -837,23 +710,23 @@ fn fan_observe(shared: &Shared, request: &Request, model: &str, trace_hex: &str)
             .counters
             .observes_relayed
             .fetch_add(1, Ordering::Relaxed);
-        return Reply::relay(first_success.expect("successes == total > 0"));
+        return Response::from(first_success.expect("successes == total > 0"));
     }
     if successes == 0 {
         if let Some(rejection) = first_rejection {
-            return Reply::relay(rejection);
+            return Response::from(rejection);
         }
         if let Some(miss) = last_miss {
             // Every reachable replica answered `unknown_model`.
-            return Reply::relay(miss);
+            return Response::from(miss);
         }
-        let mut reply = Reply::error(
+        let mut response = Response::error(
             503,
             "no_replicas_available",
             &format!("no replica of {model:?} applied the observe batch"),
         );
-        reply.retry_after = Some(RETRY_AFTER_NO_REPLICAS);
-        return reply;
+        response.retry_after = Some(RETRY_AFTER_NO_REPLICAS);
+        return response;
     }
     shared
         .counters
@@ -869,7 +742,7 @@ fn partial_report(
     model: &str,
     outcomes: &[ObserveOutcome],
     successes: usize,
-) -> Reply {
+) -> Response {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("model", model);
@@ -894,46 +767,28 @@ fn partial_report(
     }
     w.end_array();
     w.end_object();
-    Reply {
-        status: 207,
-        content_type: "application/json".to_string(),
-        body: w.finish().into_bytes(),
-        retry_after: None,
-        trace: None,
-    }
+    Response::typed(207, "application/json", w.finish().into_bytes())
 }
 
 /// Marks `(node, model)` stale; `true` if this is a new mark.
 fn mark_stale(shared: &Shared, node: NodeId, model: &str) -> bool {
-    shared
-        .stale
-        .lock()
-        .expect("stale lock")
-        .insert((node, model.to_string()))
+    lock(&shared.stale).insert((node, model.to_string()))
 }
 
 fn is_stale(shared: &Shared, node: NodeId, model: &str) -> bool {
-    shared
-        .stale
-        .lock()
-        .expect("stale lock")
-        .contains(&(node, model.to_string()))
+    lock(&shared.stale).contains(&(node, model.to_string()))
 }
 
 fn clear_stale(shared: &Shared, node: NodeId, model: &str) {
-    shared
-        .stale
-        .lock()
-        .expect("stale lock")
-        .remove(&(node, model.to_string()));
+    lock(&shared.stale).remove(&(node, model.to_string()));
 }
 
 /// `GET /v1/fleet/stats`: router counters plus every node's own
 /// `/v1/stats` and `/v1/models` documents, spliced in verbatim (an
 /// unreachable node reports `null` documents and its health instead).
-fn fleet_stats(shared: &Shared) -> Reply {
+fn fleet_stats(shared: &Shared) -> Response {
     let (replication, epoch) = {
-        let map = shared.map.lock().expect("placement lock");
+        let map = lock(&shared.map);
         (map.replication(), map.epoch())
     };
     // Collect every node's documents BEFORE reading the router counters:
@@ -979,7 +834,7 @@ fn fleet_stats(shared: &Shared) -> Reply {
     }
     w.end_array();
     w.end_object();
-    Reply::ok_json(w.finish())
+    Response::ok(w.finish())
 }
 
 /// `GET /metrics` on the router: the Prometheus text exposition. The scalar
@@ -987,7 +842,7 @@ fn fleet_stats(shared: &Shared) -> Reply {
 /// `/v1/fleet/stats` is written from (`exa_fleet_forwards` ↔
 /// `router.forwards`); `exa_fleet_node_up` and the histogram families have
 /// no JSON twin.
-fn metrics(shared: &Shared) -> Reply {
+fn metrics(shared: &Shared) -> Response {
     let mut p = PromText::new();
     p.stats("fleet", RouterStats::STATS, &shared.render_snapshot());
     let ups: Vec<(&str, f64)> = shared
@@ -1020,13 +875,7 @@ fn metrics(shared: &Shared) -> Reply {
         "One upstream backend round trip per relay attempt.",
         &shared.relay_hist.snapshot(),
     );
-    Reply {
-        status: 200,
-        content_type: "text/plain; version=0.0.4".to_string(),
-        body: p.render().into_bytes(),
-        retry_after: None,
-        trace: None,
-    }
+    Response::typed(200, "text/plain; version=0.0.4", p.render().into_bytes())
 }
 
 /// Fetches one node's `/v1/stats` and `/v1/models`, validating both as
@@ -1062,18 +911,6 @@ fn node_documents(shared: &Shared, pool: &NodePool) -> Option<(String, String)> 
         pool.demote(shared.suspect_cooldown);
     }
     documents
-}
-
-fn error_body(code: &str, message: &str) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("error");
-    w.begin_object();
-    w.field_str("code", code);
-    w.field_str("message", message);
-    w.end_object();
-    w.end_object();
-    w.finish()
 }
 
 /// The `error.code` of a JSON error envelope, if `body` is one. Only the

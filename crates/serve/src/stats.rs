@@ -17,12 +17,11 @@ exa_telemetry::stats_struct! {
         /// Requests answered with an error by the serve layer.
         /// (Bad query, model failure.)
         Counter requests_failed: u64,
-        /// Coalesced prediction calls executed by the workers.
-        /// Every request is its own model call, so this counts answered
-        /// requests, inline runs included.
+        /// Model calls made, one per answered request.
+        /// Inline runs included.
         Counter batches_executed: u64,
-        /// Requests that shared their batch with at least one other request.
-        /// Always 0: requests are never merged. The key stays so readers of
+        /// Requests merged into another request's model call; always 0.
+        /// Requests are never merged. The key stays so readers of
         /// `/v1/stats` and `/metrics` keep their schema.
         Counter requests_coalesced: u64,
         /// Total prediction points answered.

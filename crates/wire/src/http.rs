@@ -34,7 +34,7 @@
 //! small constant independent of the header count
 //! (`tests/parser_alloc.rs` pins this with a counting allocator).
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::time::Duration;
 
 /// Size/time limits enforced while reading one request.
@@ -492,35 +492,19 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 /// Serializes one response — head and body — into a single buffer, ready
-/// for the reactor's non-blocking write path.
-pub fn encode_response(status: u16, content_type: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
-    encode_response_with_retry(status, content_type, body, keep_alive, None)
-}
-
-/// [`encode_response`] plus an optional `Retry-After: <seconds>` header.
-/// The 503 refusal paths set it so a router (or any client) gets a real
-/// backoff signal instead of guessing; `None` emits no extra header.
-pub fn encode_response_with_retry(
+/// for the reactor's non-blocking write path. `retry_after` adds a
+/// `Retry-After: <seconds>` header (the 503 refusal paths set it, so a
+/// router or any client gets a real backoff signal instead of guessing);
+/// `extra_headers` are appended as given — the servers echo
+/// `x-exa-trace-id` through them. Callers must pass header-safe values
+/// (no CR/LF).
+pub fn encode_response(
     status: u16,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
     retry_after: Option<u64>,
-) -> Vec<u8> {
-    encode_response_ext(status, content_type, body, keep_alive, retry_after, &[])
-}
-
-/// [`encode_response_with_retry`] plus arbitrary extra response headers
-/// (name, value) — the telemetry layer echoes `x-exa-trace-id` through
-/// here. Callers must pass header-safe values (no CR/LF); the only
-/// in-tree caller emits hex-formatted trace ids.
-pub fn encode_response_ext(
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    retry_after: Option<u64>,
-    extra_headers: &[(&str, String)],
+    extra_headers: &[(&str, &str)],
 ) -> Vec<u8> {
     let mut extra = match retry_after {
         Some(seconds) => format!("Retry-After: {seconds}\r\n"),
@@ -542,30 +526,6 @@ pub fn encode_response_ext(
     message.extend_from_slice(head.as_bytes());
     message.extend_from_slice(body);
     message
-}
-
-/// Serializes one JSON response with explicit framing and writes it in a
-/// single `write_all`.
-pub fn write_response(
-    w: impl Write,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_typed(w, status, "application/json", body, keep_alive)
-}
-
-/// [`write_response`] with an explicit `Content-Type` — the binary predict
-/// codec answers `application/x-exa-frame` bodies through this.
-pub fn write_response_typed(
-    mut w: impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    w.write_all(&encode_response(status, content_type, body, keep_alive))?;
-    w.flush()
 }
 
 /// `true` when the I/O error means "no bytes right now" on a non-blocking
@@ -810,16 +770,14 @@ mod tests {
 
     #[test]
     fn response_writer_frames_and_reports_connection_state() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, br#"{"ok":true}"#, true).unwrap();
+        let out = encode_response(200, "application/json", br#"{"ok":true}"#, true, None, &[]);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
 
-        let mut out = Vec::new();
-        write_response(&mut out, 503, b"{}", false).unwrap();
+        let out = encode_response(503, "application/json", b"{}", false, None, &[]);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Connection: close\r\n"));
@@ -827,14 +785,14 @@ mod tests {
 
     #[test]
     fn retry_after_header_is_emitted_only_when_set() {
-        let with = encode_response_with_retry(503, "application/json", b"{}", true, Some(2));
+        let with = encode_response(503, "application/json", b"{}", true, Some(2), &[]);
         let text = String::from_utf8(with).unwrap();
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(
             text.contains("Content-Length: 2\r\n"),
             "framing survives the extra header"
         );
-        let without = encode_response(503, "application/json", b"{}", true);
+        let without = encode_response(503, "application/json", b"{}", true, None, &[]);
         assert!(!String::from_utf8(without).unwrap().contains("Retry-After"));
     }
 }

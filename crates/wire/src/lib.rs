@@ -9,7 +9,9 @@
 //! small JSON codec ([`json`]), a single-threaded readiness reactor over
 //! a hand-rolled `epoll`/`poll` wrapper ([`reactor`]) with a connection
 //! cap and graceful shutdown ([`WireServer`]), and a blocking keep-alive
-//! client ([`WireClient`]).
+//! client ([`WireClient`]). The reactor is generic over the routes behind
+//! it ([`HttpServer`] runs any [`Service`]): the node is one service, and
+//! `exa-fleet`'s router the other.
 //!
 //! ```text
 //!  clients (curl, WireClient, wire_loadgen)
@@ -226,4 +228,7 @@ pub use client::{
     WireClient, WireError, WireModelInfo, WireModels, WireObserve, WirePrediction, WireResponse,
 };
 pub use codec::Codec;
-pub use server::{WireConfig, WireServer, WireStats};
+pub use server::{
+    Handled, HttpCounters, HttpServer, Responder, Response, Service, WireConfig, WireServer,
+    WireStats, DEFAULT_MAX_CONNECTIONS,
+};

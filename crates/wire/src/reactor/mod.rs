@@ -1,19 +1,22 @@
-//! The readiness reactor under [`WireServer`](crate::server::WireServer):
-//! one thread, non-blocking sockets, a hand-rolled poller.
+//! The pieces of the readiness reactor behind
+//! [`HttpServer`](crate::server::HttpServer): one thread, non-blocking
+//! sockets, a hand-rolled poller.
 //!
-//! PR 4's thread-per-connection design burned an OS thread (and its stack)
-//! per connection — idle keep-alive sockets included — and capped
-//! concurrency at the connection cap. This module replaces that with the
-//! classic reactor shape:
+//! A thread-per-connection server burns an OS thread (and its stack) per
+//! connection — idle keep-alive sockets included. The reactor is the
+//! classic alternative, and the one server both services run on — the
+//! node ([`WireServer`](crate::server::WireServer)) and `exa-fleet`'s
+//! router:
 //!
 //! ```text
 //!  [sys::Poller]  epoll(7) / poll(2), level-triggered
 //!       │ readiness events (token = generation<<32 | slab index)
 //!       ▼
-//!  reactor thread ── accept / read / parse / route / write ──┐
-//!       ▲                                                    │ submit
-//!       │ Waker byte + completion queue                      ▼
-//!  serve workers ◀── PredictionTicket::on_ready ◀── PredictionServer
+//!  reactor thread ── accept / read / parse / Service::call / write ──┐
+//!       ▲                                                            │ Handled::Later
+//!       │ Waker byte + completion queue (Responder::respond)         ▼
+//!  node: serve workers (PredictionTicket::on_ready)
+//!  router: relay pool (blocking WireClient round trips)
 //! ```
 //!
 //! * [`sys::Poller`] wraps the readiness syscalls (no `mio`, no `libc`
@@ -23,14 +26,14 @@
 //! * [`TokenSlab`] stores connections under generation-checked `u64`
 //!   tokens, so a completion for a connection that has since died (and
 //!   whose slot was recycled) can never touch the wrong socket.
-//! * [`Waker`] lets other threads (serve workers fulfilling a prediction,
-//!   or a shutdown caller) interrupt the poller's wait.
+//! * [`Waker`] lets other threads (a serve worker fulfilling a prediction,
+//!   a router relay, or a shutdown caller) interrupt the poller's wait.
 //!
 //! The reactor thread never blocks on a socket: a slow reader costs a
 //! buffered response and a wait for `EPOLLOUT`, not a stalled thread.
-//! Predictions run on the serve worker pool (or inline for an idle-queue
-//! fast path — see the server module docs); their completions come back
-//! through a queue plus a waker byte.
+//! Work a service defers (node predicts on the serve worker pool, router
+//! relays on its relay pool) comes back through a queue plus a waker byte
+//! — see the server module docs.
 
 pub mod sys;
 
@@ -212,10 +215,10 @@ pub enum ConnState {
     /// Preamble parsed; receiving the `Content-Length`-declared body,
     /// still under the request deadline.
     ReadingBody,
-    /// A decoded predict request is in flight on the serve side; the
-    /// socket is quiescent (no read interest — pipelined bytes stay in the
-    /// kernel buffer) and has no deadline of its own: the serve queue owns
-    /// the latency story.
+    /// A request the service deferred is in flight (a node predict on the
+    /// serve side, a router relay); the socket is quiescent (no read
+    /// interest — pipelined bytes stay in the kernel buffer) and has no
+    /// deadline of its own: the service owns the latency story.
     Dispatch,
     /// A response is queued and being flushed as the socket accepts it.
     Writing,

@@ -75,11 +75,23 @@ impl Poller {
     pub fn new() -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
         {
-            if std::env::var("EXA_WIRE_FORCE_POLL").map(|v| v == "1") != Ok(true) {
+            if Poller::preferred_backend() == "epoll" {
                 return Ok(Poller::Epoll(epoll::Epoll::new()?));
             }
         }
         Ok(Poller::Poll(poll::PollSet::new()))
+    }
+
+    /// The backend [`Poller::new`] opens here: `epoll` on Linux unless
+    /// `EXA_WIRE_FORCE_POLL=1`, `poll` everywhere else.
+    pub fn preferred_backend() -> &'static str {
+        if cfg!(target_os = "linux")
+            && std::env::var("EXA_WIRE_FORCE_POLL").map(|v| v == "1") != Ok(true)
+        {
+            "epoll"
+        } else {
+            "poll"
+        }
     }
 
     /// The backend's name, for stats and logs.

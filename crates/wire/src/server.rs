@@ -1,44 +1,53 @@
-//! The TCP front-end: readiness reactor, connection state machine, routing.
+//! The TCP front-end: one readiness reactor, generic over the routes
+//! behind it.
 //!
-//! [`WireServer::start`] binds a listener, spawns the underlying
-//! [`PredictionServer`], and runs **one reactor thread** that owns every
-//! socket: non-blocking accepts, incremental request parsing, routing,
-//! and response writes, all driven by a level-triggered
-//! [`Poller`] (`epoll` on Linux, `poll(2)`
-//! elsewhere — see [`crate::reactor::sys`]). Connections advance through
-//! the [`ConnState`] machine; an idle keep-alive socket costs one slab
-//! entry and one poller registration, not an OS thread, which is what
-//! lets the default [`WireConfig::max_connections`] sit at 1024 instead
-//! of PR 4's 64.
+//! [`HttpServer`] owns all transport. It binds a listener and runs **one
+//! reactor thread** that owns every socket: non-blocking accepts (admitted
+//! up to a connection cap, refused with a courtesy `503` beyond it),
+//! incremental request parsing, idle and slow-request deadlines, status
+//! counting, keep-alive, and half-close drains, all driven by a
+//! level-triggered [`Poller`] (`epoll` on Linux, `poll(2)` elsewhere — see
+//! [`crate::reactor::sys`]). Connections advance through the [`ConnState`]
+//! machine; an idle keep-alive socket costs one slab entry and one poller
+//! registration, not an OS thread, which is what lets
+//! [`DEFAULT_MAX_CONNECTIONS`] sit at 1024.
 //!
-//! Predictions leave the reactor thread in one of two ways:
+//! What happens to a parsed request belongs to a [`Service`]. It answers
+//! on the spot ([`Handled::Now`]), or takes the request off the reactor
+//! ([`Handled::Later`]) and completes it exactly once, from any thread,
+//! through a [`Responder`]: a completion queue plus a waker byte. A
+//! connection waiting on a deferred answer reads nothing more until it is
+//! written. Two services run on this server:
 //!
-//! * **Inline fast path** — when nothing else is in flight (no reactor
-//!   dispatch pending, only one connection readable this poll batch), the
-//!   request runs directly on the reactor thread via
-//!   [`ServerHandle::predict`], skipping both scheduler handoffs — this is
-//!   what keeps single-client closed-loop latency low
-//!   ([`WireStats::requests_inline`]).
-//! * **Dispatch** — otherwise the request is submitted without blocking
-//!   ([`ServerHandle::submit`]) and the reactor returns to its poller; a
-//!   serve worker answers it, and completion comes back through a queue
-//!   plus a waker byte ([`PredictionTicket::on_ready`],
-//!   [`WireStats::requests_dispatched`]).
+//! * **The node** ([`WireServer`], the routes in this module). A predict
+//!   runs inline on the reactor thread when nothing else is in motion (no
+//!   deferred request in flight, only one connection readable this poll
+//!   batch), skipping both scheduler handoffs — that is what keeps
+//!   single-client closed-loop latency low
+//!   ([`WireStats::requests_inline`]). Otherwise it is submitted without
+//!   blocking ([`ServerHandle::submit`]) and answered by a serve worker
+//!   through [`PredictionTicket::on_ready`]
+//!   ([`WireStats::requests_dispatched`]).
+//! * **The fleet router** (`exa-fleet`). Health and metrics answer on the
+//!   spot; every route that touches a backend socket runs on the router's
+//!   blocking relay pool and completes through the same queue.
 //!
-//! Every request is routed inside `catch_unwind`, so a panic anywhere in
-//! parsing or prediction answers `500` and increments
-//! [`WireStats::panics_contained`] instead of killing the reactor.
+//! Every request is handled inside `catch_unwind`, so a panic anywhere in
+//! a service answers `500` and increments [`WireStats::panics_contained`]
+//! instead of killing the reactor. A deferred request whose [`Responder`]
+//! is dropped unanswered is answered the same way.
 //!
-//! Graceful shutdown ([`WireServer::shutdown`]) proceeds outside-in: drop
-//! the listener, close idle connections, let in-flight requests finish
-//! (their responses are written with `Connection: close`), then drain and
-//! join the prediction server — queued predictions are all answered
-//! before the workers exit.
+//! Graceful shutdown ([`HttpServer::shutdown`]) proceeds outside-in: drop
+//! the listener, close connections between requests, let in-flight
+//! requests finish (their responses are written with `Connection: close`),
+//! then join the reactor. [`WireServer::shutdown`] then drains and joins
+//! the prediction server — queued predictions are all answered before the
+//! workers exit.
 //!
 //! [`PredictionTicket::on_ready`]: exa_serve::PredictionTicket::on_ready
-//! [`ServerHandle::predict`]: exa_serve::ServerHandle::predict
 //! [`ServerHandle::submit`]: exa_serve::ServerHandle::submit
 
+use crate::client::WireResponse;
 use crate::codec::{self, Codec, ObserveRequestFrame, ObserveResponseFrame, PredictRequestFrame};
 use crate::http::{self, Limits, ParseProgress, Request};
 use crate::json::{Json, JsonWriter};
@@ -60,9 +69,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Concurrent connections an [`HttpServer`] admits unless told otherwise;
+/// further accepts are answered with an immediate `503` and closed.
+/// Connections are slab entries under the reactor, not threads — the
+/// marginal cost of an idle one is a poller registration and a few hundred
+/// bytes of parser buffer.
+pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
 /// Tuning for a [`WireServer`].
 #[derive(Clone, Debug)]
@@ -70,11 +86,9 @@ pub struct WireConfig {
     /// Address to bind; port 0 picks an ephemeral port (read it back with
     /// [`WireServer::local_addr`]).
     pub bind_addr: String,
-    /// Concurrent connections served; further accepts are answered with an
-    /// immediate `503` and closed. Connections are slab entries under the
-    /// reactor, not threads, so this defaults to 1024 — raise it freely,
-    /// the marginal cost per idle connection is a poller registration and
-    /// a few hundred bytes of parser buffer.
+    /// Concurrent connections served (default
+    /// [`DEFAULT_MAX_CONNECTIONS`]); further accepts are answered with an
+    /// immediate `503` and closed.
     pub max_connections: usize,
     /// Cap on one request's preamble (request line + headers), bytes.
     pub max_header_bytes: usize,
@@ -96,7 +110,7 @@ impl Default for WireConfig {
         let limits = Limits::default();
         WireConfig {
             bind_addr: "127.0.0.1:0".to_string(),
-            max_connections: 1024,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
             max_header_bytes: limits.max_header_bytes,
             max_body_bytes: limits.max_body_bytes,
             request_deadline: limits.request_deadline,
@@ -122,10 +136,24 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// Poller token of the waker's receive end.
 const WAKER_TOKEN: u64 = u64::MAX - 1;
 
-/// Monotonic wire-level counters, updated by the reactor and read from any
-/// thread.
+/// `Retry-After` seconds on a transient `503 overloaded` (queue pressure or
+/// connection cap): pressure at this horizon is usually gone in a moment.
+const RETRY_AFTER_OVERLOADED: u64 = 1;
+/// `Retry-After` seconds on `503 shutting_down`: the node will not be back
+/// soon, steer clients away longer.
+const RETRY_AFTER_SHUTDOWN: u64 = 5;
+
+/// Locks `m`, recovering the data if a holder panicked: every critical
+/// section here is a single queue operation, so the data is valid either
+/// way — and a poisoned front door would otherwise answer nothing again.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The transport counters an [`HttpServer`] keeps on behalf of its
+/// [`Service`]; read them with [`HttpCounters::snapshot`].
 #[derive(Default)]
-struct WireCounters {
+pub struct HttpCounters {
     connections_accepted: AtomicU64,
     connections_refused: AtomicU64,
     requests_ok: AtomicU64,
@@ -134,151 +162,83 @@ struct WireCounters {
     malformed_requests: AtomicU64,
     disconnects_mid_request: AtomicU64,
     panics_contained: AtomicU64,
-    requests_inline: AtomicU64,
-    requests_dispatched: AtomicU64,
 }
 
-exa_telemetry::stats_struct! {
-    /// A point-in-time snapshot of a [`WireServer`]'s counters — the `wire`
-    /// object of `GET /v1/stats` and `exa_wire_*` in `GET /metrics`, both
-    /// rendered from [`WireStats::STATS`].
-    #[derive(Clone, Copy, Debug, Default, PartialEq)]
-    pub struct WireStats {
-        /// Connections accepted and admitted to the reactor.
-        Counter connections_accepted: u64,
-        /// Connections refused with 503 at the connection cap.
-        /// ([`WireConfig::max_connections`].)
-        Counter connections_refused: u64,
-        /// Requests answered 2xx.
-        Counter requests_ok: u64,
-        /// Requests answered 4xx.
-        Counter requests_client_error: u64,
-        /// Requests answered 5xx.
-        Counter requests_server_error: u64,
-        /// HTTP-level parse failures answered with an error status.
-        /// (Bad preamble, oversized framing; a subset of
-        /// `requests_client_error` / `requests_server_error`.)
-        Counter malformed_requests: u64,
-        /// Clients that vanished or stalled past the deadline mid-request.
-        Counter disconnects_mid_request: u64,
-        /// Handler panics contained by the per-request catch_unwind.
-        /// The wire-level companion of
-        /// [`ServerStats::factorizations_during_serving`]: robustness tests
-        /// assert it stays 0.
-        Counter panics_contained: u64,
-        /// Predicts run as a batch-of-one on the reactor thread.
-        /// (The idle-queue fast path; see the module docs.)
-        Counter requests_inline: u64,
-        /// Predicts handed to the serve worker pool.
-        /// (The non-blocking submit + completion-callback path.)
-        Counter requests_dispatched: u64,
-        /// Seconds since this wire server started.
-        Gauge uptime_seconds: f64,
-        /// Render counter, monotone per process; a decrease means a restart.
-        /// Bumped by every `/v1/stats` and `/metrics` render.
-        Gauge stats_epoch: u64,
-    }
-}
-
-struct Shared<K: ParamCovariance> {
-    registry: Arc<ModelRegistry<K>>,
-    handle: ServerHandle<K>,
-    counters: WireCounters,
-    shutting_down: AtomicBool,
-    limits: Limits,
-    max_connections: usize,
-    waker: Waker,
-    backend: &'static str,
-    /// When this server started — the base of `uptime_seconds`.
-    started: Instant,
-    stats_epoch: AtomicU64,
-    /// Wire-side stage histograms for predict requests (the queue/solve
-    /// stages live in the serve layer's own histograms).
-    parse_hist: Histogram,
-    write_hist: Histogram,
-    request_hist: Histogram,
-    /// The slowest recent predicts, with per-stage breakdowns
-    /// (`GET /v1/debug/slow`).
-    slow: SlowRing,
-}
-
-impl<K: ParamCovariance> Shared<K> {
-    fn wire_stats(&self) -> WireStats {
-        let c = &self.counters;
+impl HttpCounters {
+    /// The transport fields of a [`WireStats`] — the same counters on the
+    /// node and the router. The node's own fields are left 0.
+    pub fn snapshot(&self) -> WireStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         WireStats {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_refused: c.connections_refused.load(Ordering::Relaxed),
-            requests_ok: c.requests_ok.load(Ordering::Relaxed),
-            requests_client_error: c.requests_client_error.load(Ordering::Relaxed),
-            requests_server_error: c.requests_server_error.load(Ordering::Relaxed),
-            malformed_requests: c.malformed_requests.load(Ordering::Relaxed),
-            disconnects_mid_request: c.disconnects_mid_request.load(Ordering::Relaxed),
-            panics_contained: c.panics_contained.load(Ordering::Relaxed),
-            requests_inline: c.requests_inline.load(Ordering::Relaxed),
-            requests_dispatched: c.requests_dispatched.load(Ordering::Relaxed),
-            uptime_seconds: self.started.elapsed().as_secs_f64(),
-            stats_epoch: self.stats_epoch.load(Ordering::Relaxed),
+            connections_accepted: load(&self.connections_accepted),
+            connections_refused: load(&self.connections_refused),
+            requests_ok: load(&self.requests_ok),
+            requests_client_error: load(&self.requests_client_error),
+            requests_server_error: load(&self.requests_server_error),
+            malformed_requests: load(&self.malformed_requests),
+            disconnects_mid_request: load(&self.disconnects_mid_request),
+            panics_contained: load(&self.panics_contained),
+            ..WireStats::default()
         }
     }
 
-    /// The three section snapshots one `/v1/stats` or `/metrics` render
-    /// reports: each render takes the next `stats_epoch`.
-    fn render_snapshots(&self) -> (WireStats, ServerStats, RegistryStats) {
-        let stats_epoch = self.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let wire = WireStats {
-            stats_epoch,
-            ..self.wire_stats()
-        };
-        (wire, self.handle.stats(), self.registry.stats())
+    fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn count_status(&self, status: u16) {
+        HttpCounters::bump(match status {
+            200..=299 => &self.requests_ok,
+            400..=499 => &self.requests_client_error,
+            _ => &self.requests_server_error,
+        });
     }
 }
 
-/// One routed response, ready to frame.
-struct Response {
-    status: u16,
-    body: Vec<u8>,
-    /// `Content-Type` of `body`: JSON everywhere except a binary-negotiated
-    /// predict success.
-    content_type: &'static str,
+/// One response, ready to frame.
+pub struct Response {
+    pub status: u16,
+    pub body: Vec<u8>,
+    /// `Content-Type` of `body`.
+    pub content_type: String,
     /// Force-close the connection after writing (on top of the client's own
     /// keep-alive preference).
-    close: bool,
+    pub close: bool,
     /// `Retry-After` seconds on refusals, so backoff is signalled rather
     /// than guessed (the fleet router keys its failover pacing on this).
-    retry_after: Option<u64>,
-    /// Trace id to echo in the `x-exa-trace-id` response header (set on
-    /// the predict paths, where a trace is extracted or minted).
-    trace: Option<TraceId>,
+    pub retry_after: Option<u64>,
+    /// Value of the `x-exa-trace-id` response header, written as given.
+    pub trace: Option<String>,
+    /// Runs on the reactor once the response is framed and its first write
+    /// attempted, with the span that took (zero when the peer was already
+    /// gone): bookkeeping that needs the write span.
+    pub on_written: Option<Box<dyn FnOnce(Duration) + Send>>,
 }
 
 impl Response {
-    fn ok(body: String) -> Self {
-        Response {
-            status: 200,
-            body: body.into_bytes(),
-            content_type: "application/json",
-            close: false,
-            retry_after: None,
-            trace: None,
-        }
+    /// A `200` carrying a JSON document.
+    pub fn ok(body: String) -> Self {
+        Response::typed(200, "application/json", body.into_bytes())
     }
 
-    /// A `200` carrying one binary predict frame.
-    fn ok_frame(body: Vec<u8>) -> Self {
+    /// A response with an explicit `Content-Type`.
+    pub fn typed(status: u16, content_type: &str, body: Vec<u8>) -> Self {
         Response {
-            status: 200,
+            status,
             body,
-            content_type: codec::FRAME_CONTENT_TYPE,
+            content_type: content_type.to_string(),
             close: false,
             retry_after: None,
             trace: None,
+            on_written: None,
         }
     }
 
-    /// Errors are always the structured JSON envelope, whatever codec the
-    /// request negotiated — a client that cannot read JSON errors cannot
-    /// read the 4xx/5xx contract at all.
-    fn error(status: u16, code: &str, message: &str) -> Self {
+    /// The structured JSON error envelope
+    /// `{"error": {"code": ..., "message": ...}}`. Errors always use it,
+    /// whatever codec the request negotiated — a client that cannot read
+    /// JSON errors cannot read the 4xx/5xx contract at all.
+    pub fn error(status: u16, code: &str, message: &str) -> Self {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.key("error");
@@ -287,78 +247,154 @@ impl Response {
         w.field_str("message", message);
         w.end_object();
         w.end_object();
+        Response::typed(status, "application/json", w.finish().into_bytes())
+    }
+
+    /// The `500` a contained panic is answered with; it closes the
+    /// connection, whose state can no longer be trusted.
+    fn internal() -> Self {
+        let mut response = Response::error(500, "internal", "request handler panicked");
+        response.close = true;
+        response
+    }
+}
+
+/// A backend's answer relayed verbatim: status, body, media type,
+/// `Retry-After` and the trace id it echoed.
+impl From<WireResponse> for Response {
+    fn from(relayed: WireResponse) -> Self {
         Response {
-            status,
-            body: w.finish().into_bytes(),
-            content_type: "application/json",
+            status: relayed.status,
+            body: relayed.body,
+            content_type: relayed.content_type,
             close: false,
-            retry_after: None,
-            trace: None,
+            retry_after: relayed.retry_after,
+            trace: relayed.trace,
+            on_written: None,
         }
     }
 }
 
-/// `Retry-After` seconds on a transient `503 overloaded` (queue pressure or
-/// connection cap): pressure at this horizon is usually gone in a moment.
-const RETRY_AFTER_OVERLOADED: u64 = 1;
-/// `Retry-After` seconds on `503 shutting_down`: the node will not be back
-/// soon, steer clients away longer.
-const RETRY_AFTER_SHUTDOWN: u64 = 5;
+/// The routes behind an [`HttpServer`]. The server owns every byte of
+/// transport; a service sees one parsed request at a time.
+pub trait Service: Send + Sync + 'static {
+    /// The counters the server keeps for this service, for the service to
+    /// report in its own statistics.
+    fn counters(&self) -> &HttpCounters;
 
-/// The running wire front-end. See the [crate docs](crate) for the wire
-/// schema and an end-to-end example.
-pub struct WireServer<K: ParamCovariance> {
-    shared: Arc<Shared<K>>,
-    local_addr: SocketAddr,
-    reactor_thread: Option<JoinHandle<()>>,
-    prediction: Option<PredictionServer<K>>,
+    /// Handles one parsed request on the reactor thread. `quiet` is `true`
+    /// when nothing else is in motion — no deferred request in flight and
+    /// no other connection readable in this poll batch — the only time a
+    /// slow answer on the spot delays no other client. A panic here is
+    /// contained and answered `500`.
+    fn call(&self, request: Request, quiet: bool) -> Handled;
 }
 
-impl<K: ParamCovariance> WireServer<K> {
-    /// Binds `config.bind_addr`, starts the underlying [`PredictionServer`]
-    /// and the reactor thread, and begins serving.
-    pub fn start(registry: Arc<ModelRegistry<K>>, config: WireConfig) -> io::Result<Self> {
-        let listener = TcpListener::bind(&config.bind_addr)?;
+/// A [`Service`]'s decision for one request.
+pub enum Handled {
+    /// Write this answer now.
+    Now(Response),
+    /// Take the request off the reactor: the server parks its connection
+    /// and runs the closure at once with the request's [`Responder`], which
+    /// completes it later, from any thread.
+    Later(Box<dyn FnOnce(Responder)>),
+}
+
+/// A deferred answer crossing back to the reactor; `None` when its
+/// [`Responder`] was dropped unanswered.
+struct Completion {
+    token: u64,
+    response: Option<Response>,
+}
+
+/// What the reactor shares with every other thread.
+struct Shared {
+    completions: Mutex<VecDeque<Completion>>,
+    waker: Waker,
+    shutting_down: AtomicBool,
+}
+
+/// The one way to complete a deferred request: [`Responder::respond`],
+/// exactly once. Dropping it unanswered (a panic on the way, most likely)
+/// answers `500` instead, so a parked connection never waits on a
+/// completion that cannot come.
+pub struct Responder {
+    token: u64,
+    shared: Option<Arc<Shared>>,
+}
+
+impl Responder {
+    pub fn respond(mut self, response: Response) {
+        self.complete(Some(response));
+    }
+
+    fn complete(&mut self, response: Option<Response>) {
+        if let Some(shared) = self.shared.take() {
+            let token = self.token;
+            lock(&shared.completions).push_back(Completion { token, response });
+            shared.waker.wake();
+        }
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        self.complete(None);
+    }
+}
+
+/// A running reactor serving one [`Service`]. Dropping it shuts it down.
+pub struct HttpServer<S: Service> {
+    service: Arc<S>,
+    shared: Arc<Shared>,
+    local_addr: SocketAddr,
+    reactor: Option<JoinHandle<()>>,
+}
+
+impl<S: Service> HttpServer<S> {
+    /// Binds `bind_addr` and starts the reactor thread, admitting up to
+    /// `max_connections` at once under `limits`.
+    pub fn start(
+        bind_addr: &str,
+        limits: Limits,
+        max_connections: usize,
+        service: Arc<S>,
+    ) -> io::Result<Self> {
+        let listener = TcpListener::bind(bind_addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let mut poller = Poller::new()?;
-        let backend = poller.backend();
         let (waker, wake_rx) = waker_pair()?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
         poller.register(wake_rx.fd(), WAKER_TOKEN, Interest::READABLE)?;
-        let prediction = PredictionServer::start(Arc::clone(&registry), config.serve);
         let shared = Arc::new(Shared {
-            registry,
-            handle: prediction.handle(),
-            counters: WireCounters::default(),
-            shutting_down: AtomicBool::new(false),
-            limits: Limits {
-                max_header_bytes: config.max_header_bytes,
-                max_body_bytes: config.max_body_bytes,
-                request_deadline: config.request_deadline,
-                idle_timeout: config.idle_timeout,
-            },
-            max_connections: config.max_connections.max(1),
+            completions: Mutex::new(VecDeque::new()),
             waker,
-            backend,
-            started: Instant::now(),
-            stats_epoch: AtomicU64::new(0),
-            parse_hist: Histogram::new(),
-            write_hist: Histogram::new(),
-            request_hist: Histogram::new(),
-            slow: SlowRing::default(),
+            shutting_down: AtomicBool::new(false),
         });
-        let reactor_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("exa-wire-reactor".into())
-                .spawn(move || Reactor::new(shared, poller, listener, wake_rx).run())?
+        let reactor = Reactor {
+            service: Arc::clone(&service),
+            shared: Arc::clone(&shared),
+            poller,
+            listener: Some(listener),
+            wake_rx,
+            limits,
+            max_connections: max_connections.max(1),
+            conns: TokenSlab::new(),
+            inflight: 0,
+            serving: 0,
+            refusals: 0,
+            batch_solo: false,
+            shutting: false,
         };
-        Ok(WireServer {
+        let reactor = std::thread::Builder::new()
+            .name("exa-wire-reactor".into())
+            .spawn(move || reactor.run())?;
+        Ok(HttpServer {
+            service,
             shared,
             local_addr,
-            reactor_thread: Some(reactor_thread),
-            prediction: Some(prediction),
+            reactor: Some(reactor),
         })
     }
 
@@ -367,137 +403,75 @@ impl<K: ParamCovariance> WireServer<K> {
         self.local_addr
     }
 
-    /// Which readiness backend the reactor is running on (`"epoll"` or
-    /// `"poll"`).
-    pub fn backend(&self) -> &'static str {
-        self.shared.backend
+    /// The service this server runs.
+    pub fn service(&self) -> &S {
+        &self.service
     }
 
-    /// Wire-level statistics snapshot.
-    pub fn stats(&self) -> WireStats {
-        self.shared.wire_stats()
-    }
-
-    /// Statistics of the underlying prediction server.
-    pub fn serve_stats(&self) -> ServerStats {
-        self.shared.handle.stats()
-    }
-
-    /// Graceful shutdown: stop accepting, finish in-flight requests, join
-    /// the reactor thread, then drain and join the prediction server.
-    /// Returns the final wire and serving statistics.
-    pub fn shutdown(mut self) -> (WireStats, ServerStats) {
-        self.wind_down();
-        let wire = self.shared.wire_stats();
-        let serve = self
-            .prediction
-            .take()
-            .expect("prediction server present until shutdown")
-            .shutdown();
-        (wire, serve)
-    }
-
-    fn wind_down(&mut self) {
+    /// Graceful shutdown: stop accepting, close connections between
+    /// requests, finish in-flight ones (answered with `Connection:
+    /// close`), and join the reactor. Idempotent.
+    pub fn shutdown(&mut self) {
+        let Some(reactor) = self.reactor.take() else {
+            return;
+        };
         // ORDERING: SeqCst — the flag store must be globally ordered before
         // the waker byte below, so a reactor woken by it cannot load the
         // flag as false and go back to sleep.
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         self.shared.waker.wake();
-        if let Some(reactor) = self.reactor_thread.take() {
-            let _ = reactor.join();
-        }
+        let _ = reactor.join();
     }
 }
 
-impl<K: ParamCovariance> Drop for WireServer<K> {
+impl<S: Service> Drop for HttpServer<S> {
     fn drop(&mut self) {
-        // `shutdown()` takes `prediction`; an un-shutdown drop still winds
-        // the reactor down cleanly (the prediction server's own Drop then
-        // drains its queue).
-        if self.reactor_thread.is_some() {
-            self.wind_down();
-        }
+        self.shutdown();
     }
-}
-
-/// A prediction answer crossing back from a fulfilling thread to the
-/// reactor.
-struct Completion {
-    token: u64,
-    result: Result<ServedPrediction, ServeError>,
-}
-
-/// What the reactor remembers about a routed predict request until it is
-/// answered: everything needed to encode, write and time the response.
-struct PendingPredict {
-    model: String,
-    resp_codec: Codec,
-    keep_alive_wanted: bool,
-    /// The request's trace id, echoed in the response and attributed in
-    /// the slow ring.
-    trace: TraceId,
-    /// When the request was carved off the socket (total-span base).
-    request_started: Instant,
-    /// Routing + body-decode span, measured before the dispatch.
-    parse_ns: u64,
 }
 
 /// One slab entry: the transport state machine plus the reactor's
 /// request-level bookkeeping for it.
 struct ConnEntry {
     conn: Connection,
-    /// Set while `conn` is in [`ConnState::Dispatch`].
-    pending: Option<PendingPredict>,
+    /// While `conn` is in [`ConnState::Dispatch`]: whether the deferred
+    /// request asked for keep-alive.
+    keep_alive: bool,
     /// A `503` courtesy connection at the cap, excluded from the serving
     /// count.
     refusal: bool,
-    /// The peer hung up while a dispatch was in flight: the fd is already
-    /// deregistered, and the entry is reaped when its completion arrives.
+    /// The peer hung up while a deferred request was in flight: the fd is
+    /// already deregistered, and the entry is reaped when its completion
+    /// arrives.
     peer_gone: bool,
 }
 
-struct Reactor<K: ParamCovariance> {
-    shared: Arc<Shared<K>>,
+struct Reactor<S: Service> {
+    service: Arc<S>,
+    shared: Arc<Shared>,
     poller: Poller,
     listener: Option<TcpListener>,
     wake_rx: WakeReceiver,
+    limits: Limits,
+    max_connections: usize,
     conns: TokenSlab<ConnEntry>,
-    completions: Arc<Mutex<VecDeque<Completion>>>,
-    /// Dispatched predictions not yet completed (queued completions
-    /// included — the count drops when the completion is *processed*).
+    /// Deferred requests not yet completed (queued completions included —
+    /// the count drops when the completion is *processed*).
     inflight: usize,
     /// Admitted (non-refusal) connections, measured against
     /// `max_connections`.
     serving: usize,
     /// Live refusal entries, bounded by [`MAX_PENDING_REFUSALS`].
     refusals: usize,
-    /// Whether exactly one connection went readable in the current poll
-    /// batch — the precondition for the inline fast path (with more than
-    /// one, dispatching lets the worker pool answer them in parallel).
+    /// Whether at most one connection went readable in the current poll
+    /// batch — half of [`Service::call`]'s `quiet`.
     batch_solo: bool,
     shutting: bool,
 }
 
-impl<K: ParamCovariance> Reactor<K> {
-    fn new(
-        shared: Arc<Shared<K>>,
-        poller: Poller,
-        listener: TcpListener,
-        wake_rx: WakeReceiver,
-    ) -> Self {
-        Reactor {
-            shared,
-            poller,
-            listener: Some(listener),
-            wake_rx,
-            conns: TokenSlab::new(),
-            completions: Arc::new(Mutex::new(VecDeque::new())),
-            inflight: 0,
-            serving: 0,
-            refusals: 0,
-            batch_solo: false,
-            shutting: false,
-        }
+impl<S: Service> Reactor<S> {
+    fn counters(&self) -> &HttpCounters {
+        self.service.counters()
     }
 
     fn run(mut self) {
@@ -531,7 +505,7 @@ impl<K: ParamCovariance> Reactor<K> {
             if accept_ready {
                 self.accept_pending(now);
             }
-            // ORDERING: SeqCst pairs with wind_down's store: after the waker
+            // ORDERING: SeqCst pairs with shutdown's store: after the waker
             // byte wakes this loop, the load is guaranteed to see the flag.
             if self.shared.shutting_down.load(Ordering::SeqCst) && !self.shutting {
                 self.begin_shutdown();
@@ -561,7 +535,7 @@ impl<K: ParamCovariance> Reactor<K> {
                 // nothing to serve, keep accepting.
                 Err(_) => continue,
             };
-            if self.serving < self.shared.max_connections {
+            if self.serving < self.max_connections {
                 self.admit(stream, now);
             } else {
                 self.refuse(stream, now);
@@ -569,70 +543,60 @@ impl<K: ParamCovariance> Reactor<K> {
         }
     }
 
-    fn admit(&mut self, stream: TcpStream, now: Instant) {
-        let Ok(conn) = Connection::new(stream, self.shared.limits, now) else {
-            return;
-        };
+    /// Slab-inserts and registers a fresh connection; `None` (the socket
+    /// dropped) when the poller refuses it.
+    fn insert(&mut self, conn: Connection, refusal: bool) -> Option<u64> {
         let fd = conn.fd();
         let token = self.conns.insert(ConnEntry {
             conn,
-            pending: None,
-            refusal: false,
+            keep_alive: false,
+            refusal,
             peer_gone: false,
         });
         // A fresh connection starts with read interest — which is exactly
         // what `Connection::new` caches, so no follow-up `arm` is needed.
         if self.poller.register(fd, token, Interest::READABLE).is_err() {
             self.conns.remove(token);
-            return;
+            return None;
         }
-        self.serving += 1;
-        self.shared
-            .counters
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
+        Some(token)
+    }
+
+    fn admit(&mut self, stream: TcpStream, now: Instant) {
+        let Ok(conn) = Connection::new(stream, self.limits, now) else {
+            return;
+        };
+        if self.insert(conn, false).is_some() {
+            self.serving += 1;
+            HttpCounters::bump(&self.counters().connections_accepted);
+        }
     }
 
     /// Answers an over-cap connection with `503` and drains it to a clean
     /// close, without ever admitting it to the serving count.
     fn refuse(&mut self, stream: TcpStream, now: Instant) {
-        self.shared
-            .counters
-            .connections_refused
-            .fetch_add(1, Ordering::Relaxed);
+        HttpCounters::bump(&self.counters().connections_refused);
         if self.refusals >= MAX_PENDING_REFUSALS {
             return; // drop the socket: the courtesy 503 has a budget too
         }
-        let Ok(mut conn) = Connection::new(stream, self.shared.limits, now) else {
+        let Ok(mut conn) = Connection::new(stream, self.limits, now) else {
             return;
         };
         let mut response = Response::error(503, "overloaded", "connection limit reached");
         response.retry_after = Some(RETRY_AFTER_OVERLOADED);
-        let bytes = http::encode_response_with_retry(
-            response.status,
-            response.content_type,
-            &response.body,
-            false,
-            response.retry_after,
-        );
-        conn.queue_response(bytes, false, now);
-        let fd = conn.fd();
-        let token = self.conns.insert(ConnEntry {
-            conn,
-            pending: None,
-            refusal: true,
-            peer_gone: false,
-        });
-        if self.poller.register(fd, token, Interest::READABLE).is_err() {
-            self.conns.remove(token);
+        conn.queue_response(encode(&response, false), false, now);
+        let Some(token) = self.insert(conn, true) else {
             return;
-        }
+        };
         self.refusals += 1;
-        let entry = self.conns.get_mut(token).expect("just inserted");
+        let Some(entry) = self.conns.get_mut(token) else {
+            return;
+        };
         match entry.conn.try_write(now) {
-            WriteOutcome::Pending | WriteOutcome::Closing => self.arm(token),
+            WriteOutcome::Pending | WriteOutcome::Closing | WriteOutcome::Flushed => {
+                self.arm(token)
+            }
             WriteOutcome::Broken => self.remove_conn(token),
-            WriteOutcome::Flushed => unreachable!("refusals never keep alive"),
         }
     }
 
@@ -694,22 +658,9 @@ impl<K: ParamCovariance> Reactor<K> {
             match entry.conn.fill(now) {
                 FillOutcome::Progress => self.parse_loop(token, now),
                 FillOutcome::WouldBlock => break,
-                FillOutcome::Eof => {
+                FillOutcome::Eof | FillOutcome::Broken => {
                     if entry.conn.started() {
-                        self.shared
-                            .counters
-                            .disconnects_mid_request
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.remove_conn(token);
-                    return;
-                }
-                FillOutcome::Broken => {
-                    if entry.conn.started() {
-                        self.shared
-                            .counters
-                            .disconnects_mid_request
-                            .fetch_add(1, Ordering::Relaxed);
+                        HttpCounters::bump(&self.counters().disconnects_mid_request);
                     }
                     self.remove_conn(token);
                     return;
@@ -742,10 +693,7 @@ impl<K: ParamCovariance> Reactor<K> {
                 Err(err) => {
                     // Answerable protocol violation: respond, then close
                     // (the connection's framing can no longer be trusted).
-                    self.shared
-                        .counters
-                        .malformed_requests
-                        .fetch_add(1, Ordering::Relaxed);
+                    HttpCounters::bump(&self.counters().malformed_requests);
                     let mut response =
                         Response::error(err.status(), "bad_request", &err.to_string());
                     response.close = true;
@@ -756,132 +704,67 @@ impl<K: ParamCovariance> Reactor<K> {
         }
     }
 
-    /// Routes one parsed request: answer immediately, run the predict
-    /// inline, or dispatch it to the serve pool. Returns `true` when the
-    /// response was fully flushed on a keep-alive connection (the caller
-    /// may parse the next pipelined request).
+    /// Hands one parsed request to the service and either answers it or
+    /// parks the connection until its deferred answer arrives. Returns
+    /// `true` when a response flushed completely on a keep-alive
+    /// connection (the caller may parse the next pipelined request).
     fn handle_request(&mut self, token: u64, request: Request, now: Instant) -> bool {
-        let request_started = Instant::now();
-        let keep_alive_wanted = request.keep_alive();
-        let trace_in = request.header(TRACE_HEADER).and_then(TraceId::parse);
-        // A panic anywhere in routing (JSON decode, registry, inline
-        // prediction) must not kill the reactor: contain it, answer 500.
-        let routed = catch_unwind(AssertUnwindSafe(|| route(&self.shared, &request)));
-        // Routing includes the body decode, so this is the parse span.
-        let parse_ns = request_started.elapsed().as_nanos() as u64;
-        let routed = match routed {
-            Ok(routed) => routed,
+        let keep_alive = request.keep_alive();
+        let quiet = self.batch_solo && self.inflight == 0;
+        let service = &self.service;
+        let start = match catch_unwind(AssertUnwindSafe(|| service.call(request, quiet))) {
+            Ok(Handled::Now(response)) => return self.answer(token, response, keep_alive, now),
+            Ok(Handled::Later(start)) => start,
             Err(_) => {
-                self.shared
-                    .counters
-                    .panics_contained
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut response = Response::error(500, "internal", "request handler panicked");
-                response.close = true;
-                return self.answer(token, response, keep_alive_wanted, now);
+                HttpCounters::bump(&self.counters().panics_contained);
+                return self.answer(token, Response::internal(), keep_alive, now);
             }
         };
-        let (name, targets, want_variance, resp_codec) = match routed {
-            Routed::Response(response) => {
-                return self.answer(token, response, keep_alive_wanted, now)
-            }
-            Routed::Predict {
-                name,
-                targets,
-                want_variance,
-                resp_codec,
-            } => (name, targets, want_variance, resp_codec),
+        let Some(entry) = self.conns.get_mut(token) else {
+            return false;
         };
-        // Every predict carries a trace id: the router's (forwarded in the
-        // request header) or one minted here for direct clients.
-        let trace = trace_in.unwrap_or_else(TraceId::mint);
-        let request = PendingPredict {
-            model: name,
-            resp_codec,
-            keep_alive_wanted,
-            trace,
-            request_started,
-            parse_ns,
-        };
-        if self.inline_ok() {
-            self.shared
-                .counters
-                .requests_inline
-                .fetch_add(1, Ordering::Relaxed);
-            let handle = &self.shared.handle;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                handle.predict_traced(&request.model, targets, want_variance, Some(trace))
-            }));
-            return self.finish_predict(token, request, result, now);
-        }
-        // Dispatch path: non-blocking submit, completion via callback.
-        let ticket =
-            self.shared
-                .handle
-                .submit_traced(&request.model, targets, want_variance, Some(trace));
-        let ticket = match ticket {
-            Ok(ticket) => ticket,
-            Err(err) => {
-                let mut response = serve_error_response(&err);
-                response.trace = Some(trace);
-                return self.answer(token, response, keep_alive_wanted, now);
-            }
-        };
-        let entry = self.conns.get_mut(token).expect("handled conn is live");
-        entry.pending = Some(request);
+        entry.keep_alive = keep_alive;
         entry.conn.begin_dispatch();
         self.inflight += 1;
-        self.shared
-            .counters
-            .requests_dispatched
-            .fetch_add(1, Ordering::Relaxed);
-        let completions = Arc::clone(&self.completions);
-        let waker = self.shared.waker.clone();
-        // Fires on whichever thread fulfills the prediction (worker or an
-        // inline submitter): park the result and poke the poller.
-        ticket.on_ready(move |result| {
-            completions
-                .lock()
-                .expect("completion queue lock")
-                .push_back(Completion { token, result });
-            waker.wake();
-        });
+        let responder = Responder {
+            token,
+            shared: Some(Arc::clone(&self.shared)),
+        };
+        // A panic here drops the responder unanswered, which queues the
+        // contained-panic `500` like any other completion.
+        let _ = catch_unwind(AssertUnwindSafe(move || start(responder)));
         self.arm(token);
         false
     }
 
-    /// Whether a predict may run inline on the reactor thread right now:
-    /// only with nothing else in motion — no dispatch in flight and no
-    /// other connection readable in this poll batch. The reactor is its
-    /// prediction server's only submitter, so no dispatch in flight also
-    /// means an empty serve queue. Anything else dispatches, so concurrent
-    /// requests spread over the worker pool instead of serializing behind
-    /// the reactor.
-    fn inline_ok(&self) -> bool {
-        self.batch_solo && self.inflight == 0
-    }
-
-    /// Drains the completion queue: encode each answered dispatch and
-    /// start (or finish) writing it.
+    /// Drains the completion queue: write each deferred answer (or the
+    /// `500` for an abandoned one) and resume its connection.
     fn process_completions(&mut self, now: Instant) {
         loop {
-            let completion = self
-                .completions
-                .lock()
-                .expect("completion queue lock")
-                .pop_front();
-            let Some(Completion { token, result }) = completion else {
+            let completion = lock(&self.shared.completions).pop_front();
+            let Some(Completion { token, response }) = completion else {
                 return;
             };
             self.inflight -= 1;
+            let response = response.unwrap_or_else(|| {
+                HttpCounters::bump(&self.counters().panics_contained);
+                Response::internal()
+            });
             let Some(entry) = self.conns.get_mut(token) else {
-                continue; // the connection died while the serve side worked
+                continue; // the connection died while the answer was made
             };
-            let pending = entry
-                .pending
-                .take()
-                .expect("completion for a connection not in dispatch");
-            if self.finish_predict(token, pending, Ok(result), now) {
+            if entry.peer_gone {
+                // The request is still accounted (the work was done), but
+                // there is no one left to write to.
+                self.counters().count_status(response.status);
+                self.remove_conn(token);
+                if let Some(on_written) = response.on_written {
+                    on_written(Duration::ZERO);
+                }
+                continue;
+            }
+            let keep_alive = entry.keep_alive;
+            if self.answer(token, response, keep_alive, now) {
                 // Flushed on a keep-alive connection: pipelined requests
                 // may already be buffered.
                 self.parse_loop(token, now);
@@ -890,116 +773,44 @@ impl<K: ParamCovariance> Reactor<K> {
         }
     }
 
-    /// Finishes one predict, inline or dispatched: encodes the answer (a
-    /// panic in the predict or the encode answers `500`), writes it unless
-    /// the peer is gone, and records the stage spans and the slow-ring
-    /// entry. Returns `true` when the response flushed on a keep-alive
-    /// connection.
-    fn finish_predict(
-        &mut self,
-        token: u64,
-        request: PendingPredict,
-        result: std::thread::Result<Result<ServedPrediction, ServeError>>,
-        now: Instant,
-    ) -> bool {
-        let encoded = result.and_then(|result| {
-            catch_unwind(AssertUnwindSafe(|| match &result {
-                Ok(served) => (
-                    predict_response(&request.model, request.resp_codec, served),
-                    stage_ns(served),
-                ),
-                Err(err) => (serve_error_response(err), (0, 0)),
-            }))
-        });
-        let (mut response, (queue_ns, solve_ns)) = encoded.unwrap_or_else(|_| {
-            self.shared
-                .counters
-                .panics_contained
-                .fetch_add(1, Ordering::Relaxed);
-            let mut response = Response::error(500, "internal", "request handler panicked");
-            response.close = true;
-            (response, (0, 0))
-        });
-        response.trace = Some(request.trace);
-        let peer_gone = self
-            .conns
-            .get_mut(token)
-            .is_some_and(|entry| entry.peer_gone);
-        let (flushed, write_ns) = if peer_gone {
-            // The request is still accounted (the work was done), but
-            // there is no one left to write to.
-            count_status(&self.shared, response.status);
-            self.remove_conn(token);
-            (false, 0)
-        } else {
-            let write_start = Instant::now();
-            let flushed = self.answer(token, response, request.keep_alive_wanted, now);
-            (flushed, write_start.elapsed().as_nanos() as u64)
-        };
-        let shared = &self.shared;
-        let total_ns = request.request_started.elapsed().as_nanos() as u64;
-        shared.parse_hist.record_ns(request.parse_ns);
-        shared.write_hist.record_ns(write_ns);
-        shared.request_hist.record_ns(total_ns);
-        shared.slow.record(SlowEntry {
-            trace: request.trace,
-            model: request.model,
-            parse_ns: request.parse_ns,
-            queue_ns,
-            solve_ns,
-            write_ns,
-            total_ns,
-            seq: 0,
-        });
-        flushed
-    }
-
-    /// Counts, encodes, queues, and starts writing one response. Returns
-    /// `true` when it flushed completely and the connection re-entered
-    /// keep-alive reading.
+    /// Counts, encodes, queues, and starts writing one response, then runs
+    /// its `on_written` hook. Returns `true` when it flushed completely and
+    /// the connection re-entered keep-alive reading.
     fn answer(
         &mut self,
         token: u64,
-        response: Response,
+        mut response: Response,
         keep_alive_wanted: bool,
         now: Instant,
     ) -> bool {
-        count_status(&self.shared, response.status);
-        // ORDERING: SeqCst — same total order as wind_down's store, so no
+        let write_start = Instant::now();
+        self.counters().count_status(response.status);
+        // ORDERING: SeqCst — same total order as shutdown's store, so no
         // response renews keep-alive once shutdown has begun.
         let shutting = self.shared.shutting_down.load(Ordering::SeqCst);
         let keep_alive = keep_alive_wanted && !response.close && !shutting;
-        let trace_header;
-        let extra: &[(&str, String)] = match response.trace {
-            Some(trace) => {
-                trace_header = [(TRACE_HEADER, trace.to_string())];
-                &trace_header
+        let bytes = encode(&response, keep_alive);
+        let flushed = match self.conns.get_mut(token) {
+            None => false,
+            Some(entry) => {
+                entry.conn.queue_response(bytes, keep_alive, now);
+                match entry.conn.try_write(now) {
+                    WriteOutcome::Flushed => true,
+                    WriteOutcome::Pending | WriteOutcome::Closing => {
+                        self.arm(token);
+                        false
+                    }
+                    WriteOutcome::Broken => {
+                        self.remove_conn(token);
+                        false
+                    }
+                }
             }
-            None => &[],
         };
-        let bytes = http::encode_response_ext(
-            response.status,
-            response.content_type,
-            &response.body,
-            keep_alive,
-            response.retry_after,
-            extra,
-        );
-        let Some(entry) = self.conns.get_mut(token) else {
-            return false;
-        };
-        entry.conn.queue_response(bytes, keep_alive, now);
-        match entry.conn.try_write(now) {
-            WriteOutcome::Flushed => true,
-            WriteOutcome::Pending | WriteOutcome::Closing => {
-                self.arm(token);
-                false
-            }
-            WriteOutcome::Broken => {
-                self.remove_conn(token);
-                false
-            }
+        if let Some(on_written) = response.on_written.take() {
+            on_written(write_start.elapsed());
         }
+        flushed
     }
 
     /// Syncs a connection's poller interest with its state, tearing the
@@ -1034,10 +845,7 @@ impl<K: ParamCovariance> Reactor<K> {
                 }
                 ConnState::ReadingHead | ConnState::ReadingBody => {
                     // Slow-loris: request started, deadline blown.
-                    self.shared
-                        .counters
-                        .disconnects_mid_request
-                        .fetch_add(1, Ordering::Relaxed);
+                    HttpCounters::bump(&self.counters().disconnects_mid_request);
                     self.remove_conn(token);
                 }
                 ConnState::Writing | ConnState::Draining => self.remove_conn(token),
@@ -1047,8 +855,8 @@ impl<K: ParamCovariance> Reactor<K> {
     }
 
     /// Stops accepting and sheds every connection not occupied with a
-    /// request: reading-state connections close immediately (idle or not —
-    /// PR 4 semantics), dispatch/write/drain states finish their work.
+    /// request: reading-state connections close immediately (idle or not),
+    /// dispatch/write/drain states finish their work.
     fn begin_shutdown(&mut self) {
         self.shutting = true;
         if let Some(listener) = self.listener.take() {
@@ -1085,13 +893,293 @@ impl<K: ParamCovariance> Reactor<K> {
     }
 }
 
-fn count_status<K: ParamCovariance>(shared: &Shared<K>, status: u16) {
-    let counter = match status {
-        200..=299 => &shared.counters.requests_ok,
-        400..=499 => &shared.counters.requests_client_error,
-        _ => &shared.counters.requests_server_error,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
+/// Frames `response` for the wire.
+fn encode(response: &Response, keep_alive: bool) -> Vec<u8> {
+    let trace = response.trace.as_deref().map(|trace| (TRACE_HEADER, trace));
+    http::encode_response(
+        response.status,
+        &response.content_type,
+        &response.body,
+        keep_alive,
+        response.retry_after,
+        trace.as_slice(),
+    )
+}
+
+exa_telemetry::stats_struct! {
+    /// A point-in-time snapshot of a [`WireServer`]'s counters — the `wire`
+    /// object of `GET /v1/stats` and `exa_wire_*` in `GET /metrics`, both
+    /// rendered from [`WireStats::STATS`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct WireStats {
+        /// Connections accepted and admitted to the reactor.
+        Counter connections_accepted: u64,
+        /// Connections refused with 503 at the connection cap.
+        /// ([`WireConfig::max_connections`].)
+        Counter connections_refused: u64,
+        /// Requests answered 2xx.
+        Counter requests_ok: u64,
+        /// Requests answered 4xx.
+        Counter requests_client_error: u64,
+        /// Requests answered 5xx.
+        Counter requests_server_error: u64,
+        /// HTTP-level parse failures answered with an error status.
+        /// (Bad preamble, oversized framing; a subset of
+        /// `requests_client_error` / `requests_server_error`.)
+        Counter malformed_requests: u64,
+        /// Clients that vanished or stalled past the deadline mid-request.
+        Counter disconnects_mid_request: u64,
+        /// Handler panics contained by the per-request catch_unwind.
+        /// (Deferred requests dropped unanswered included.) The wire-level
+        /// companion of
+        /// [`ServerStats::factorizations_during_serving`]: robustness tests
+        /// assert it stays 0.
+        Counter panics_contained: u64,
+        /// Predicts run as a batch-of-one on the reactor thread.
+        /// (The idle-queue fast path; see the module docs.)
+        Counter requests_inline: u64,
+        /// Predicts handed to the serve worker pool.
+        /// (The non-blocking submit + completion-callback path.)
+        Counter requests_dispatched: u64,
+        /// Seconds since this wire server started.
+        Gauge uptime_seconds: f64,
+        /// Render counter, monotone per process; a decrease means a restart.
+        /// Bumped by every `/v1/stats` and `/metrics` render.
+        Gauge stats_epoch: u64,
+    }
+}
+
+/// The node service: the prediction routes over one registry and its
+/// private [`PredictionServer`].
+struct Node<K: ParamCovariance> {
+    registry: Arc<ModelRegistry<K>>,
+    handle: ServerHandle<K>,
+    http: HttpCounters,
+    requests_inline: AtomicU64,
+    requests_dispatched: AtomicU64,
+    backend: &'static str,
+    /// When this server started — the base of `uptime_seconds`.
+    started: Instant,
+    stats_epoch: AtomicU64,
+    stages: Arc<Stages>,
+}
+
+/// Wire-side stage histograms for predict requests (the queue/solve
+/// stages live in the serve layer's own histograms) and the slowest recent
+/// predicts with per-stage breakdowns (`GET /v1/debug/slow`).
+#[derive(Default)]
+struct Stages {
+    parse: Histogram,
+    write: Histogram,
+    request: Histogram,
+    slow: SlowRing,
+}
+
+impl<K: ParamCovariance> Node<K> {
+    fn wire_stats(&self) -> WireStats {
+        WireStats {
+            requests_inline: self.requests_inline.load(Ordering::Relaxed),
+            requests_dispatched: self.requests_dispatched.load(Ordering::Relaxed),
+            uptime_seconds: self.started.elapsed().as_secs_f64(),
+            stats_epoch: self.stats_epoch.load(Ordering::Relaxed),
+            ..self.http.snapshot()
+        }
+    }
+
+    /// The three section snapshots one `/v1/stats` or `/metrics` render
+    /// reports: each render takes the next `stats_epoch`.
+    fn render_snapshots(&self) -> (WireStats, ServerStats, RegistryStats) {
+        let stats_epoch = self.stats_epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let wire = WireStats {
+            stats_epoch,
+            ..self.wire_stats()
+        };
+        (wire, self.handle.stats(), self.registry.stats())
+    }
+}
+
+impl<K: ParamCovariance> Service for Node<K> {
+    fn counters(&self) -> &HttpCounters {
+        &self.http
+    }
+
+    /// Routes one request: answer it, run its predict inline, or dispatch
+    /// the predict to the serve pool.
+    fn call(&self, request: Request, quiet: bool) -> Handled {
+        let request_started = Instant::now();
+        let trace_in = request.header(TRACE_HEADER).and_then(TraceId::parse);
+        let (model, targets, want_variance, resp_codec) = match route(self, &request) {
+            Routed::Response(response) => return Handled::Now(response),
+            Routed::Predict {
+                name,
+                targets,
+                want_variance,
+                resp_codec,
+            } => (name, targets, want_variance, resp_codec),
+        };
+        // Every predict carries a trace id: the router's (forwarded in the
+        // request header) or one minted here for direct clients.
+        let trace = trace_in.unwrap_or_else(TraceId::mint);
+        let pending = PendingPredict {
+            model,
+            resp_codec,
+            trace,
+            request_started,
+            // Routing includes the body decode, so this is the parse span.
+            parse_ns: request_started.elapsed().as_nanos() as u64,
+            stages: Arc::clone(&self.stages),
+        };
+        let handle = &self.handle;
+        if quiet {
+            self.requests_inline.fetch_add(1, Ordering::Relaxed);
+            let result = handle.predict_traced(&pending.model, targets, want_variance, Some(trace));
+            return Handled::Now(pending.finish(result));
+        }
+        // Dispatch path: non-blocking submit, completion via callback.
+        let ticket = match handle.submit_traced(&pending.model, targets, want_variance, Some(trace))
+        {
+            Ok(ticket) => ticket,
+            Err(err) => {
+                let mut response = serve_error_response(&err);
+                response.trace = Some(trace.to_string());
+                return Handled::Now(response);
+            }
+        };
+        self.requests_dispatched.fetch_add(1, Ordering::Relaxed);
+        Handled::Later(Box::new(move |responder: Responder| {
+            // Fires on whichever thread fulfills the prediction. An encode
+            // panic drops the responder, which answers `500`.
+            ticket.on_ready(move |result| {
+                if let Ok(response) = catch_unwind(AssertUnwindSafe(|| pending.finish(result))) {
+                    responder.respond(response);
+                }
+            });
+        }))
+    }
+}
+
+/// What a routed predict carries until it is answered: everything needed
+/// to encode the response and record its stage spans.
+struct PendingPredict {
+    model: String,
+    resp_codec: Codec,
+    /// The request's trace id, echoed in the response and attributed in
+    /// the slow ring.
+    trace: TraceId,
+    /// When the request was handed to the node (total-span base).
+    request_started: Instant,
+    /// Routing + body-decode span, measured before the predict.
+    parse_ns: u64,
+    stages: Arc<Stages>,
+}
+
+impl PendingPredict {
+    /// Encodes the answer, echoing the trace id; once written, the stage
+    /// spans and the slow-ring entry are recorded.
+    fn finish(self, result: Result<ServedPrediction, ServeError>) -> Response {
+        let (mut response, (queue_ns, solve_ns)) = match &result {
+            Ok(served) => (
+                predict_response(&self.model, self.resp_codec, served),
+                stage_ns(served),
+            ),
+            Err(err) => (serve_error_response(err), (0, 0)),
+        };
+        response.trace = Some(self.trace.to_string());
+        response.on_written = Some(Box::new(move |write| {
+            let write_ns = write.as_nanos() as u64;
+            let total_ns = self.request_started.elapsed().as_nanos() as u64;
+            let stages = &self.stages;
+            stages.parse.record_ns(self.parse_ns);
+            stages.write.record_ns(write_ns);
+            stages.request.record_ns(total_ns);
+            stages.slow.record(SlowEntry {
+                trace: self.trace,
+                model: self.model,
+                parse_ns: self.parse_ns,
+                queue_ns,
+                solve_ns,
+                write_ns,
+                total_ns,
+                seq: 0,
+            });
+        }));
+        response
+    }
+}
+
+/// The running wire front-end: the node service on an [`HttpServer`].
+/// See the [crate docs](crate) for the wire schema and an end-to-end
+/// example.
+pub struct WireServer<K: ParamCovariance> {
+    // Field order is drop order: an un-shutdown drop stops the reactor
+    // before the prediction server's own Drop drains its queue.
+    http: HttpServer<Node<K>>,
+    prediction: PredictionServer<K>,
+}
+
+impl<K: ParamCovariance> WireServer<K> {
+    /// Binds `config.bind_addr`, starts the underlying [`PredictionServer`]
+    /// and the reactor thread, and begins serving.
+    pub fn start(registry: Arc<ModelRegistry<K>>, config: WireConfig) -> io::Result<Self> {
+        let prediction = PredictionServer::start(Arc::clone(&registry), config.serve);
+        let node = Node {
+            registry,
+            handle: prediction.handle(),
+            http: HttpCounters::default(),
+            requests_inline: AtomicU64::new(0),
+            requests_dispatched: AtomicU64::new(0),
+            backend: Poller::preferred_backend(),
+            started: Instant::now(),
+            stats_epoch: AtomicU64::new(0),
+            stages: Arc::default(),
+        };
+        let limits = Limits {
+            max_header_bytes: config.max_header_bytes,
+            max_body_bytes: config.max_body_bytes,
+            request_deadline: config.request_deadline,
+            idle_timeout: config.idle_timeout,
+        };
+        let http = HttpServer::start(
+            &config.bind_addr,
+            limits,
+            config.max_connections,
+            Arc::new(node),
+        )?;
+        Ok(WireServer { http, prediction })
+    }
+
+    /// The bound address (resolves port 0 to the actual ephemeral port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.http.local_addr()
+    }
+
+    /// Which readiness backend the reactor is running on (`"epoll"` or
+    /// `"poll"`).
+    pub fn backend(&self) -> &'static str {
+        self.http.service().backend
+    }
+
+    /// Wire-level statistics snapshot.
+    pub fn stats(&self) -> WireStats {
+        self.http.service().wire_stats()
+    }
+
+    /// Statistics of the underlying prediction server.
+    pub fn serve_stats(&self) -> ServerStats {
+        self.http.service().handle.stats()
+    }
+
+    /// Graceful shutdown: stop accepting, finish in-flight requests, join
+    /// the reactor thread, then drain and join the prediction server.
+    /// Returns the final wire and serving statistics.
+    pub fn shutdown(self) -> (WireStats, ServerStats) {
+        let WireServer {
+            mut http,
+            prediction,
+        } = self;
+        http.shutdown();
+        (http.service().wire_stats(), prediction.shutdown())
+    }
 }
 
 /// What routing decided: either a finished response, or a decoded predict
@@ -1109,26 +1197,26 @@ enum Routed {
 /// Maps one parsed request to a response or a decoded prediction. Never
 /// returns a transport-level error: everything is an HTTP status plus a
 /// structured JSON error body.
-fn route<K: ParamCovariance>(shared: &Shared<K>, request: &Request) -> Routed {
+fn route<K: ParamCovariance>(node: &Node<K>, request: &Request) -> Routed {
     let path = request.path();
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method(), segments.as_slice()) {
-        ("GET", ["healthz"]) => Routed::Response(health(shared)),
-        ("GET", ["v1", "models"]) => Routed::Response(models(shared)),
-        ("GET", ["v1", "stats"]) => Routed::Response(stats(shared)),
-        ("GET", ["metrics"]) => Routed::Response(metrics(shared)),
-        ("GET", ["v1", "debug", "slow"]) => Routed::Response(debug_slow(shared)),
+        ("GET", ["healthz"]) => Routed::Response(health(node)),
+        ("GET", ["v1", "models"]) => Routed::Response(models(node)),
+        ("GET", ["v1", "stats"]) => Routed::Response(stats(node)),
+        ("GET", ["metrics"]) => Routed::Response(metrics(node)),
+        ("GET", ["v1", "debug", "slow"]) => Routed::Response(debug_slow(node)),
         ("POST", ["v1", "models", name, "predict"]) => decode_predict(name, request),
         // The write path runs synchronously on the reactor thread: that
         // serializes observes per node (and therefore per model) by
         // construction, which the incremental factor update requires.
         ("POST", ["v1", "models", name, "observe"]) => {
-            Routed::Response(observe(shared, name, request))
+            Routed::Response(observe(node, name, request))
         }
         // Admin: drop a model so the next miss reloads it through the
         // loader — the fleet router uses this to un-stale a replica that
         // missed an observe.
-        ("POST", ["v1", "models", name, "evict"]) => Routed::Response(evict(shared, name)),
+        ("POST", ["v1", "models", name, "evict"]) => Routed::Response(evict(node, name)),
         // Right path, wrong verb → 405 so clients can tell the two apart.
         (_, ["healthz"])
         | (_, ["v1", "models"])
@@ -1150,19 +1238,19 @@ fn route<K: ParamCovariance>(shared: &Shared<K>, request: &Request) -> Routed {
     }
 }
 
-fn health<K: ParamCovariance>(shared: &Shared<K>) -> Response {
+fn health<K: ParamCovariance>(node: &Node<K>) -> Response {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("status", "ok");
-    w.field_uint("models", shared.registry.len() as u64);
+    w.field_uint("models", node.registry.len() as u64);
     w.end_object();
     Response::ok(w.finish())
 }
 
-fn models<K: ParamCovariance>(shared: &Shared<K>) -> Response {
+fn models<K: ParamCovariance>(node: &Node<K>) -> Response {
     // One lock acquisition: the entry list and the counters must describe
     // the same instant, or eviction observers see books that don't balance.
-    let (entries, stats) = shared.registry.snapshot();
+    let (entries, stats) = node.registry.snapshot();
     let of_kind = |kind: Kind| RegistryStats::STATS.iter().filter(move |s| s.kind == kind);
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -1189,13 +1277,13 @@ fn models<K: ParamCovariance>(shared: &Shared<K>) -> Response {
 
 /// `GET /v1/stats`: one object per section, each written from its
 /// snapshot's `STATS` table.
-fn stats<K: ParamCovariance>(shared: &Shared<K>) -> Response {
-    let (wire, serve, registry) = shared.render_snapshots();
+fn stats<K: ParamCovariance>(node: &Node<K>) -> Response {
+    let (wire, serve, registry) = node.render_snapshots();
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("wire");
     w.begin_object();
-    w.field_str("backend", shared.backend);
+    w.field_str("backend", node.backend);
     w.stats(WireStats::STATS, &wire);
     w.end_object();
     w.key("serve");
@@ -1214,8 +1302,8 @@ fn stats<K: ParamCovariance>(shared: &Shared<K>) -> Response {
 /// the same three tables and snapshots `/v1/stats` writes
 /// (`exa_wire_requests_ok` ↔ `wire.requests_ok`), so the two documents
 /// cannot disagree on a key; the histogram families have no JSON twin.
-fn metrics<K: ParamCovariance>(shared: &Shared<K>) -> Response {
-    let (wire, serve, registry) = shared.render_snapshots();
+fn metrics<K: ParamCovariance>(node: &Node<K>) -> Response {
+    let (wire, serve, registry) = node.render_snapshots();
     let mut p = PromText::new();
     p.stats("wire", WireStats::STATS, &wire);
     p.stats("serve", ServerStats::STATS, &serve);
@@ -1223,22 +1311,22 @@ fn metrics<K: ParamCovariance>(shared: &Shared<K>) -> Response {
     p.histogram(
         "exa_serve_latency_seconds",
         "Submit-to-response latency of the prediction server.",
-        &shared.handle.latency_histogram(),
+        &node.handle.latency_histogram(),
     );
     p.histogram(
         "exa_wire_request_seconds",
         "Wire-level predict latency: request carved to response queued.",
-        &shared.request_hist.snapshot(),
+        &node.stages.request.snapshot(),
     );
     p.histogram(
         "exa_serve_observe_seconds",
         "Latency of observe batches (incremental update or fallback refit).",
-        &shared.handle.observe_histogram(),
+        &node.handle.observe_histogram(),
     );
-    let parse = shared.parse_hist.snapshot();
-    let queue = shared.handle.queue_histogram();
-    let solve = shared.handle.solve_histogram();
-    let write = shared.write_hist.snapshot();
+    let parse = node.stages.parse.snapshot();
+    let queue = node.handle.queue_histogram();
+    let solve = node.handle.solve_histogram();
+    let write = node.stages.write.snapshot();
     let stages: [(&str, &HistogramSnapshot); 4] = [
         ("parse", &parse),
         ("queue", &queue),
@@ -1251,15 +1339,13 @@ fn metrics<K: ParamCovariance>(shared: &Shared<K>) -> Response {
         "stage",
         &stages,
     );
-    let mut response = Response::ok(p.render());
-    response.content_type = "text/plain; version=0.0.4";
-    response
+    Response::typed(200, "text/plain; version=0.0.4", p.render().into_bytes())
 }
 
 /// `GET /v1/debug/slow`: the slow ring, slowest first, with per-stage
 /// nanosecond breakdowns and the trace id each entry belongs to.
-fn debug_slow<K: ParamCovariance>(shared: &Shared<K>) -> Response {
-    let entries = shared.slow.snapshot();
+fn debug_slow<K: ParamCovariance>(node: &Node<K>) -> Response {
+    let entries = node.stages.slow.snapshot();
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("slow");
@@ -1277,7 +1363,7 @@ fn debug_slow<K: ParamCovariance>(shared: &Shared<K>) -> Response {
         w.end_object();
     }
     w.end_array();
-    w.field_uint("recorded", shared.slow.recorded());
+    w.field_uint("recorded", node.stages.slow.recorded());
     w.end_object();
     Response::ok(w.finish())
 }
@@ -1417,7 +1503,7 @@ fn decode_predict(name: &str, request: &Request) -> Routed {
 /// `POST /v1/models/{name}/observe`: content negotiation, body decode, and
 /// the synchronous ingest itself (see the routing comment for why this
 /// runs on the reactor thread).
-fn observe<K: ParamCovariance>(shared: &Shared<K>, name: &str, request: &Request) -> Response {
+fn observe<K: ParamCovariance>(node: &Node<K>, name: &str, request: &Request) -> Response {
     let req_codec = match request_codec(request) {
         Ok(codec) => codec,
         Err(response) => return response,
@@ -1435,7 +1521,7 @@ fn observe<K: ParamCovariance>(shared: &Shared<K>, name: &str, request: &Request
         Err(response) => return response,
     };
     let started = Instant::now();
-    match shared.handle.observe(name, &points, &values) {
+    match node.handle.observe(name, &points, &values) {
         Ok(outcome) => {
             observe_response(name, resp_codec, &outcome, started.elapsed().as_secs_f64())
         }
@@ -1445,8 +1531,8 @@ fn observe<K: ParamCovariance>(shared: &Shared<K>, name: &str, request: &Request
 
 /// `POST /v1/models/{name}/evict`: drop the named model from the registry
 /// (idempotent — evicting an absent model reports `"evicted": false`).
-fn evict<K: ParamCovariance>(shared: &Shared<K>, name: &str) -> Response {
-    let evicted = shared.registry.evict(name);
+fn evict<K: ParamCovariance>(node: &Node<K>, name: &str) -> Response {
+    let evicted = node.registry.evict(name);
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("model", name);
@@ -1497,7 +1583,7 @@ fn observe_response(
     latency_seconds: f64,
 ) -> Response {
     match resp_codec {
-        Codec::Binary => Response::ok_frame(
+        Codec::Binary => ok_frame(
             ObserveResponseFrame {
                 accepted: outcome.applied.min(u32::MAX as usize) as u32,
                 model_points: outcome.model_points.min(u32::MAX as usize) as u32,
@@ -1529,7 +1615,7 @@ fn observe_response(
 /// Encodes one successful prediction in the negotiated response codec.
 fn predict_response(name: &str, resp_codec: Codec, served: &ServedPrediction) -> Response {
     match resp_codec {
-        Codec::Binary => Response::ok_frame(codec::encode_predict_response(
+        Codec::Binary => ok_frame(codec::encode_predict_response(
             &served.values,
             served.variances.as_deref(),
             1,
@@ -1632,4 +1718,9 @@ fn serve_error_response(err: &ServeError) -> Response {
             resp
         }
     }
+}
+
+/// A `200` carrying one binary frame.
+fn ok_frame(body: Vec<u8>) -> Response {
+    Response::typed(200, codec::FRAME_CONTENT_TYPE, body)
 }

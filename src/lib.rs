@@ -108,9 +108,8 @@ pub mod prelude {
     pub use exa_fleet::{FleetConfig, FleetRouter, NodeSpec, PlacementMap, RouterStats};
     pub use exa_geostat::{
         eval_log_likelihood, factorization_count, holdout_split, prediction_mse,
-        synthetic_locations, synthetic_locations_n, Backend, Factorization, FieldSimulator,
-        FitOptions, FitReport, FittedModel, GeoModel, LikelihoodConfig, ModelError,
-        NelderMeadConfig,
+        synthetic_locations, synthetic_locations_n, Backend, Factorization, FitOptions, FitReport,
+        FittedModel, GeoModel, LikelihoodConfig, ModelError, NelderMeadConfig,
     };
     pub use exa_runtime::Runtime;
     pub use exa_serve::{

@@ -104,8 +104,15 @@ fn des_matches_real_shared_memory_ordering() {
     let mut rng = Rng::seed_from_u64(3);
     let locs = Arc::new(synthetic_locations_n(n, &mut rng));
     let kernel = MaternKernel::new(locs.clone(), params, DistanceMetric::Euclidean, 1e-8);
-    let sim = FieldSimulator::new(locs, params, DistanceMetric::Euclidean, 0.0, nb, &rt).unwrap();
-    let z = sim.draw(&mut rng);
+    let z = GeoModel::<MaternKernel>::builder()
+        .locations(locs)
+        .nugget(0.0)
+        .tile_size(nb)
+        .build()
+        .unwrap()
+        .at_params(&params.to_array(), &rt)
+        .unwrap()
+        .simulate(&mut rng, &rt);
     let cfg = LikelihoodConfig { nb, seed: 3 };
     let t_tile_real = log_likelihood(&kernel, &z, Backend::FullTile, cfg, &rt)
         .unwrap()

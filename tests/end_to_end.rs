@@ -52,9 +52,15 @@ fn simulated_problem(
 ) -> (Arc<Vec<Location>>, Vec<f64>) {
     let mut rng = Rng::seed_from_u64(seed);
     let locs = Arc::new(synthetic_locations(side, &mut rng));
-    let sim = FieldSimulator::new(locs.clone(), truth, DistanceMetric::Euclidean, 0.0, 48, rt)
-        .expect("SPD");
-    let z = sim.draw(&mut rng);
+    let z = GeoModel::<MaternKernel>::builder()
+        .locations(locs.clone())
+        .nugget(0.0)
+        .tile_size(48)
+        .build()
+        .unwrap()
+        .at_params(&truth.to_array(), rt)
+        .expect("SPD")
+        .simulate(&mut rng, rt);
     (locs, z)
 }
 
@@ -239,10 +245,17 @@ fn simulated_fields_have_the_right_marginal_moments() {
     let rt = Runtime::new(4);
     let mut rng = Rng::seed_from_u64(8);
     let locs = Arc::new(synthetic_locations(12, &mut rng));
-    let sim = FieldSimulator::new(locs, truth, DistanceMetric::Euclidean, 0.0, 36, &rt).unwrap();
+    let sim = GeoModel::<MaternKernel>::builder()
+        .locations(locs)
+        .nugget(0.0)
+        .tile_size(36)
+        .build()
+        .unwrap()
+        .at_params(&truth.to_array(), &rt)
+        .unwrap();
     let mut pooled = Vec::new();
     for _ in 0..40 {
-        pooled.extend(sim.draw(&mut rng));
+        pooled.extend(sim.simulate(&mut rng, &rt));
     }
     assert!(mean(&pooled).abs() < 0.15, "mean {}", mean(&pooled));
     let v = exageostat::util::stats::sample_variance(&pooled);
