@@ -48,6 +48,9 @@ impl Relays {
         let mut state = lock(&self.state);
         if state.idle > state.jobs.len() {
             state.jobs.push_back((responder, relay));
+            // Notify after unlocking, so the woken thread does not block
+            // again on a lock this thread still holds.
+            drop(state);
             self.ready.notify_one();
             return;
         }

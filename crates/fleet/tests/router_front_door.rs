@@ -464,12 +464,17 @@ fn an_oversized_body_sent_in_full_still_reads_its_413() {
 
 /// A backend that answers one request only when released: a relay held in
 /// flight for as long as the test needs.
-fn held_backend() -> (SocketAddr, mpsc::Receiver<()>, mpsc::Sender<()>) {
+fn held_backend() -> (
+    SocketAddr,
+    mpsc::Receiver<()>,
+    mpsc::Sender<()>,
+    thread::JoinHandle<()>,
+) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let (arrived_tx, arrived_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel::<()>();
-    thread::spawn(move || {
+    let backend = thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut requests = Responses::new(stream);
         // A request parses like a response here: head, then its body.
@@ -486,7 +491,7 @@ fn held_backend() -> (SocketAddr, mpsc::Receiver<()>, mpsc::Sender<()>) {
         // Hold the connection until the router lets go of it.
         let _ = requests.next();
     });
-    (addr, arrived_rx, release_tx)
+    (addr, arrived_rx, release_tx, backend)
 }
 
 /// `shutdown()` with a relay in flight lets it finish and answers it with
@@ -494,7 +499,7 @@ fn held_backend() -> (SocketAddr, mpsc::Receiver<()>, mpsc::Sender<()>) {
 #[test]
 fn shutdown_answers_an_in_flight_relay_with_connection_close() {
     let _serial = serial();
-    let (held, arrived, release) = held_backend();
+    let (held, arrived, release, backend) = held_backend();
     let idle = TcpListener::bind("127.0.0.1:0").unwrap();
     let router = FleetRouter::start(
         vec![
@@ -546,4 +551,6 @@ fn shutdown_answers_an_in_flight_relay_with_connection_close() {
     let stats = stopping.join().unwrap();
     assert_eq!(stats.forwards, 1);
     assert_eq!(stats.requests_ok, 1);
+    // The stopped router closed its pooled backend connection.
+    backend.join().unwrap();
 }
