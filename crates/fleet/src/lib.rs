@@ -31,8 +31,9 @@
 //!   the reactor; backend round trips run on a relay pool that spawns a
 //!   thread only when none is idle, so an idle keep-alive costs no
 //!   thread. Predict bodies are relayed verbatim (JSON and `x-exa-frame`
-//!   alike — bit-identity with a direct node hit is a test). A miss (`404 unknown_model`) sends the router through
-//!   the rest of the replica set before the 404 stands; backends with a
+//!   alike — bit-identity with a direct node hit is a test). A miss
+//!   (`404 unknown_model`) sends the router through the rest of the
+//!   replica set before the 404 stands; backends with a
 //!   registry loader pull the model themselves on first touch. Transport
 //!   failures demote a node to suspect and fail the request over.
 //! * **Ingestion** — `POST /v1/models/{name}/observe` is a *write*, so it
